@@ -10,7 +10,8 @@ Two acceptance gates from the scale-up work:
   instrumentation) and land >= 2x under the cold run.
 
 The timing gates are skipped in smoke mode (``--benchmark-disable``, the CI
-configuration) and the parallel gate additionally requires >= 2 usable CPUs
+configuration), the parallel gate carries the ``timing`` marker (deselected
+unless ``-m timing`` asks for it) and additionally requires >= 2 usable CPUs
 — a single-core box can prove correctness of the sharded path but not a
 wall-clock win.  The equality assertions always run, pool and all.
 """
@@ -70,6 +71,7 @@ def test_bench_parallel_equality(design) -> None:
         np.testing.assert_array_equal(sharded.data[spec], single.data[spec])
 
 
+@pytest.mark.timing
 def test_bench_parallel_speedup(design, request) -> None:
     """The >= 2x wall-clock gate for sharding the design axis."""
     if _smoke_mode(request):

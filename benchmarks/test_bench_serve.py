@@ -19,10 +19,12 @@ Gates for the async job surface:
   byte-identical between the two servers (and to a solo submit); a burst
   of identical requests must execute the engine exactly once
   (singleflight).  Identity and execution-count assertions always run;
-  the speedup ratio is calibrated-mode only.
+  the speedup ratio carries the ``timing`` marker.
 
 Timing gates are skipped in smoke mode (``--benchmark-disable``, the CI
-configuration); the identity and shedding assertions always run.
+configuration), and ``timing``-marked ratio gates are deselected unless
+``-m timing`` asks for them; the identity and shedding assertions always
+run.
 """
 
 from __future__ import annotations
@@ -244,73 +246,81 @@ def _without_timing(payload: dict) -> dict:
     return stripped
 
 
+def _coalesced_vs_solo_burst() -> dict:
+    """The 32-design fig8 burst through a coalescing and a solo server.
+
+    Both servers get the identical burst (best of two per server: one stray
+    descheduling stall in a single burst must not decide a throughput
+    ratio).  Returns both bursts' responses and wall-clock seconds plus both
+    servers' coalescing metrics.
+    """
+    designs = _coalesce_designs()
+    on_server, on_thread = _coalesce_server(window_ms=250.0)
+    off_server, off_thread = _coalesce_server(window_ms=0.0)
+    try:
+        on_url = "http://{}:{}".format(*on_server.server_address[:2])
+        off_url = "http://{}:{}".format(*off_server.server_address[:2])
+        # One warm-up request per server so first-touch costs (imports,
+        # solver tables) don't land inside either timed burst.
+        warm = _coalesce_designs(1)
+        _fig8_burst(on_url, warm), _fig8_burst(off_url, warm)
+
+        measured: dict = {"designs": designs}
+        for label, url in (("merged", on_url), ("solo", off_url)):
+            for _ in range(2):
+                started = time.perf_counter()
+                responses = _fig8_burst(url, designs)
+                elapsed = time.perf_counter() - started
+                if elapsed < measured.get(f"{label}_s", float("inf")):
+                    measured[f"{label}_s"] = elapsed
+                    measured[label] = responses
+        measured["on_stats"] = _get(on_url + "/v1/metrics")["jobs"]["coalesce"]
+        measured["off_stats"] = \
+            _get(off_url + "/v1/metrics")["jobs"]["coalesce"]
+        return measured
+    finally:
+        for server, thread in ((on_server, on_thread),
+                               (off_server, off_thread)):
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+
 class TestCoalescing:
-    def test_coalesced_burst_identical_and_faster(self, request):
-        """The tentpole gate: same bytes, ≥3x the throughput.
+    def test_coalesced_burst_identical(self):
+        """The tentpole gate's identity half: the same bytes either way.
 
-        Both servers get the identical 32-design burst; the coalescing one
-        must merge it into design-axis group calls (metrics prove it), the
-        responses must match byte-for-byte, and — calibrated mode only —
-        the merged burst must finish at least 3x faster.
+        The coalescing server must merge the burst into design-axis group
+        calls (metrics prove it), and the responses must match the solo
+        server's and an in-process solo submit byte for byte.
         """
-        designs = _coalesce_designs()
-        on_server, on_thread = _coalesce_server(window_ms=250.0)
-        off_server, off_thread = _coalesce_server(window_ms=0.0)
-        try:
-            on_url = "http://{}:{}".format(*on_server.server_address[:2])
-            off_url = "http://{}:{}".format(*off_server.server_address[:2])
-            # One warm-up request per server so first-touch costs (imports,
-            # solver tables) don't land inside either timed burst.
-            warm = _coalesce_designs(1)
-            _fig8_burst(on_url, warm), _fig8_burst(off_url, warm)
+        measured = _coalesced_vs_solo_burst()
+        merged, solo = measured["merged"], measured["solo"]
+        expected = _without_timing(
+            MixerService(response_cache=False).submit(
+                SpecRequest(experiment="fig8", design=measured["designs"][0],
+                            grid=dict(COALESCE_GRID))).to_dict())
+        assert _without_timing(merged[0]) == expected
+        for with_coalesce, without in zip(merged, solo):
+            assert _without_timing(with_coalesce) == _without_timing(without)
 
-            # Best of two per server: one stray descheduling stall in a
-            # single burst must not decide a throughput ratio.
-            merged_s, merged = None, None
-            for _ in range(2):
-                started = time.perf_counter()
-                responses = _fig8_burst(on_url, designs)
-                elapsed = time.perf_counter() - started
-                if merged_s is None or elapsed < merged_s:
-                    merged_s, merged = elapsed, responses
-            solo_s, solo = None, None
-            for _ in range(2):
-                started = time.perf_counter()
-                responses = _fig8_burst(off_url, designs)
-                elapsed = time.perf_counter() - started
-                if solo_s is None or elapsed < solo_s:
-                    solo_s, solo = elapsed, responses
+        stats = measured["on_stats"]
+        assert stats["enabled"] is True
+        assert stats["coalesced_batches"] >= 1
+        assert stats["coalesced_jobs"] >= COALESCE_CLIENTS
+        assert "batch_size_le" in stats
+        off_stats = measured["off_stats"]
+        assert off_stats["enabled"] is False
+        assert off_stats["coalesced_batches"] == 0
 
-            # Byte-identity between the two schedulers, and against an
-            # in-process solo submit — always asserted, smoke mode too.
-            expected = _without_timing(
-                MixerService(response_cache=False).submit(
-                    SpecRequest(experiment="fig8", design=designs[0],
-                                grid=dict(COALESCE_GRID))).to_dict())
-            assert _without_timing(merged[0]) == expected
-            for with_coalesce, without in zip(merged, solo):
-                assert _without_timing(with_coalesce) \
-                    == _without_timing(without)
-
-            stats = _get(on_url + "/v1/metrics")["jobs"]["coalesce"]
-            assert stats["enabled"] is True
-            assert stats["coalesced_batches"] >= 1
-            assert stats["coalesced_jobs"] >= COALESCE_CLIENTS
-            assert "batch_size_le" in stats
-            off_stats = _get(off_url + "/v1/metrics")["jobs"]["coalesce"]
-            assert off_stats["enabled"] is False
-            assert off_stats["coalesced_batches"] == 0
-
-            if not _smoke_mode(request):
-                record_comparison("serve", "coalesced/solo burst speedup",
-                                  MIN_COALESCE_SPEEDUP, solo_s / merged_s)
-                assert solo_s >= merged_s * MIN_COALESCE_SPEEDUP
-        finally:
-            for server, thread in ((on_server, on_thread),
-                                   (off_server, off_thread)):
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=5)
+    @pytest.mark.timing
+    def test_coalesced_burst_faster(self):
+        """The tentpole gate's throughput half: the merged burst >= 3x."""
+        measured = _coalesced_vs_solo_burst()
+        solo_s, merged_s = measured["solo_s"], measured["merged_s"]
+        record_comparison("serve", "coalesced/solo burst speedup",
+                          MIN_COALESCE_SPEEDUP, solo_s / merged_s)
+        assert solo_s >= merged_s * MIN_COALESCE_SPEEDUP
 
     def test_identical_burst_executes_engine_once(self):
         """Singleflight gate: 16 identical requests, one engine execution."""

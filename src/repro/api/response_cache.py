@@ -10,7 +10,9 @@ asserted in ``tests/test_api.py``).
 
 Both tiers follow the same discipline as the spec cache: content-addressed
 keys (the request key already folds in :data:`~repro.api.request.\
-API_VERSION`), atomic writes, and corrupt entries degrading to recompute.
+API_VERSION`), atomic writes, corrupt entries degrading to recompute, and a
+:data:`RESPONSE_CACHE_VERSION` stamped on every disk entry so numbers
+computed by an older engine miss without touching the wire contract.
 The in-memory tier is a bounded LRU so a long-lived server keeps its hot
 designs resident without growing unboundedly; the disk tier is shared by
 every service instance pointed at the directory (CLI runs, server restarts).
@@ -27,6 +29,11 @@ from repro.sweep.cache import atomic_write_json
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_LRU_SIZE = 128
+
+#: Semantics version of the disk entries; bump on any change to what the
+#: cached numbers are.  Entries without the stamp predate it (version 1).
+RESPONSE_CACHE_VERSION = 2
+_VERSION_FIELD = "response_cache_version"
 
 
 class ResponseCache:
@@ -70,8 +77,8 @@ class ResponseCache:
         """``(entry, tier)`` for a request key, or ``None`` on miss.
 
         ``tier`` is ``"memory"`` or ``"disk"``.  A disk hit is promoted into
-        the memory tier.  Any unreadable or malformed disk entry counts as
-        corrupt and misses (the next store overwrites it).
+        the memory tier.  Any unreadable, malformed or other-version disk
+        entry counts as corrupt and misses (the next store overwrites it).
         """
         with self._lock:
             entry = self._memory.get(key)
@@ -98,6 +105,8 @@ class ResponseCache:
             entry = json.loads(text)
             if not isinstance(entry, dict) or entry.get("request_key") != key:
                 raise ValueError("malformed response-cache entry")
+            if entry.pop(_VERSION_FIELD, None) != RESPONSE_CACHE_VERSION:
+                raise ValueError("response-cache version mismatch")
         except ValueError:
             with self._lock:
                 self.corrupt += 1
@@ -117,7 +126,8 @@ class ResponseCache:
             self.stores += 1
         if self.directory is None:
             return
-        atomic_write_json(self._path(key), entry)
+        atomic_write_json(self._path(key),
+                          {**entry, _VERSION_FIELD: RESPONSE_CACHE_VERSION})
 
     def _remember(self, key: str, entry: dict) -> None:
         """Insert into the LRU tier, evicting the least recent past capacity."""

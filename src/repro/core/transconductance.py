@@ -6,7 +6,8 @@ from the 65 nm device model:
 
 * the device width is solved so that the target ``gm`` is reached at the
   allotted bias current (the paper tunes the active-mode gain through this
-  bias voltage);
+  bias voltage) — in closed form from the saturated gm/Id, with a width
+  bisection as the fallback outside that domain (:func:`gm_device_width`);
 * the third-order nonlinearity comes from a numerical Taylor expansion of
   the device I-V around the bias point — mobility degradation (``theta``)
   is the physical mechanism — and source degeneration improves it the way
@@ -26,16 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.devices.mosfet import Mosfet, MosfetArray, MosfetOperatingPoint
+from repro.devices.mosfet import Mosfet, MosfetOperatingPoint
 from repro.devices.noise import FlickerNoise, ThermalNoise
 from repro.devices.technology import Technology
 from repro.units import REFERENCE_IMPEDANCE, dbm_from_vpeak
 from repro.core.config import MixerDesign
 
-#: Process-wide count of width-bisection sizing solves (one per device
-#: sized, whether it went through the scalar or the batched path).  The
-#: on-disk spec cache exists to avoid these; tests and benchmarks read the
-#: counter to prove a warm-cache run performs none.
+#: Process-wide count of Gm-device sizing solves (one per device sized,
+#: whether through the lazy scalar path or a :func:`solve_widths` block).
+#: The on-disk spec cache exists to avoid these; tests and benchmarks read
+#: the counter to prove a warm-cache run performs none.
 _SIZING_SOLVES = 0
 
 #: Process-wide count of batched :func:`solve_widths` calls.  One call sizes
@@ -43,13 +44,19 @@ _SIZING_SOLVES = 0
 #: ``_SIZING_SOLVES`` grows by the block length.
 _BATCHED_SIZING_SOLVES = 0
 
+#: Width search range of the Gm device (m): the closed form is trusted only
+#: inside it, and the fallback bisection brackets exactly this range.
+_MIN_WIDTH, _MAX_WIDTH = 2e-6, 2000e-6
+
+_UNREACHABLE = "target gm unreachable within the width search range"
+
 
 def sizing_solve_count() -> int:
-    """How many device sizing bisections this process has performed.
+    """How many Gm-device sizing solves this process has performed.
 
     Counts per *device*: a batched :func:`solve_widths` over N designs adds
     N, exactly what the equivalent scalar loop would have added — so the
-    warm-cache "zero bisections" gates hold regardless of which solver a
+    warm-cache "zero solves" gates hold regardless of which entry point a
     cold run used.
     """
     return _SIZING_SOLVES
@@ -60,24 +67,78 @@ def batched_sizing_solve_count() -> int:
     return _BATCHED_SIZING_SOLVES
 
 
+def gm_device_width(design: MixerDesign) -> float | None:
+    """Width (m) at which one Gm device delivers ``tca_gm`` at its bias current.
+
+    The saturated device has ``gm/Id = 2(1 + θv/2) / (v(1 + θv))`` in the
+    overdrive ``v`` (λ cancels), so the target ratio ``r = gm/Id`` fixes
+    ``v`` as the positive root of ``rθ·v² + (r − θ)·v − 2 = 0``; the bias
+    current then fixes ``β`` and hence the width.  The root is written in
+    its cancellation-free form ``4 / (b + sqrt(b² + 8rθ))``, ``b = r − θ``.
+
+    The closed form answers when ``tca_gm >= 2·Id/v_ds`` — triode gm/Id
+    stays below ``2/v_ds``, so the saturated root is the only root — and the
+    width lands inside ``[2 µm, 2000 µm]``.  Anything else falls back to the
+    width bisection (:func:`_bisect_width`), which also decides
+    reachability.  Returns ``None`` when the target is unreachable.
+    """
+    technology = design.technology
+    bias = design.tca_bias_current / 2.0
+    vds = technology.mid_rail  # drain sits near mid-rail
+    if design.tca_gm >= 2.0 * bias / vds:
+        ratio = design.tca_gm / bias
+        theta = technology.theta
+        b = ratio - theta
+        vov = 4.0 / (b + math.sqrt(b * b + 8.0 * ratio * theta))
+        beta = 2.0 * bias * (1.0 + theta * vov) \
+            / (vov * vov * (1.0 + technology.lambda_n * vds))
+        width = beta * design.gm_device_length / technology.u_cox_n
+        if _MIN_WIDTH <= width <= _MAX_WIDTH:
+            return width
+    return _bisect_width(design)
+
+
+def _bisect_width(design: MixerDesign) -> float | None:
+    """The general width solve: 80 geometric-mean bisection steps on width.
+
+    Each step solves the gate bias for the per-side current and reads gm
+    (which grows with width at fixed current); ``None`` when even the widest
+    device misses the target.
+    """
+    technology = design.technology
+    length = design.gm_device_length
+    bias = design.tca_bias_current / 2.0
+    vds = technology.mid_rail
+
+    def gm_at_width(width: float) -> float:
+        device = Mosfet.nmos(width, length, technology)
+        vgs = device.vgs_for_current(bias, vds)
+        return device.operating_point(vgs, vds).gm
+
+    lo, hi = _MIN_WIDTH, _MAX_WIDTH
+    if gm_at_width(hi) < design.tca_gm:
+        return None
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if gm_at_width(mid) < design.tca_gm:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(lo * hi)
+
+
 def solve_widths(designs: Sequence[MixerDesign],
                  labels: Sequence[str] | None = None) -> np.ndarray:
-    """Batch-solve the Gm-device width for a whole block of designs.
+    """Gm-device widths for a whole block of designs.
 
-    The array twin of :meth:`TransconductanceAmplifier._size_device`: one
-    80-step geometric-mean bisection on width steps every design together
-    through a :class:`~repro.devices.mosfet.MosfetArray`, with the inner
-    bias solve (:meth:`MosfetArray.vgs_for_current`) masking converged
-    elements so each design retraces the scalar solver's iterate sequence
-    exactly.  The returned widths are **bit-identical** to N scalar solves
-    (same bracket ``[2e-6, 2000e-6]``, same ``sqrt(lo * hi)`` midpoint, same
-    comparison outcomes), which is what keeps the golden spec pins unchanged
-    when the sweep engine pre-sizes design blocks through this path.
+    :func:`gm_device_width` per design — the same function the lazy
+    :meth:`TransconductanceAmplifier._size_device` calls, so a pre-sized
+    block is bit-identical to N scalar solves by construction.
 
     ``labels`` (optional, one per design) names offending designs in the
     ``target gm unreachable`` error; unlabeled designs are named by index
     and fingerprint.  Raises :class:`ValueError` listing every unreachable
-    element.  Counts ``len(designs)`` device solves and one batched solve.
+    design.  Counts ``len(designs)`` device solves and one batched solve.
     """
     global _SIZING_SOLVES, _BATCHED_SIZING_SOLVES
     records = list(designs)
@@ -87,39 +148,20 @@ def solve_widths(designs: Sequence[MixerDesign],
     if not records:
         return np.empty(0, dtype=float)
 
-    lengths = np.array([r.gm_device_length for r in records], dtype=float)
-    technologies = [r.technology for r in records]
-    targets = np.array([r.tca_gm for r in records], dtype=float)
-    bias = np.array([r.tca_bias_current / 2.0 for r in records], dtype=float)
-    vds = np.array([r.technology.mid_rail for r in records], dtype=float)
-
-    def gm_at_widths(widths: np.ndarray) -> np.ndarray:
-        bank = MosfetArray.nmos(widths, lengths, technologies)
-        vgs = bank.vgs_for_current(bias, vds)
-        return bank.operating_point(vgs, vds).gm
-
-    lo = np.full(len(records), 2e-6)
-    hi = np.full(len(records), 2000e-6)
-    unreachable = gm_at_widths(hi) < targets
-    if np.any(unreachable):
+    widths = [gm_device_width(record) for record in records]
+    unreachable = [index for index, width in enumerate(widths)
+                   if width is None]
+    if unreachable:
         def name(index: int) -> str:
             if labels is not None:
                 return str(labels[index])
             return (f"design[{index}] "
                     f"(fingerprint {records[index].fingerprint()[:12]})")
-        offenders = ", ".join(name(int(i))
-                              for i in np.flatnonzero(unreachable))
-        raise ValueError(
-            "target gm unreachable within the width search range for: "
-            + offenders)
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        below = gm_at_widths(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        raise ValueError(f"{_UNREACHABLE} for: "
+                         + ", ".join(name(index) for index in unreachable))
     _SIZING_SOLVES += len(records)
     _BATCHED_SIZING_SOLVES += 1
-    return np.sqrt(lo * hi)
+    return np.array(widths, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -198,31 +240,14 @@ class TransconductanceAmplifier:
         self.__dict__["device"] = device
 
     def _size_device(self) -> Mosfet:
-        """Solve the width that delivers ``tca_gm`` at the per-side bias current."""
+        """The Gm device sized by :func:`gm_device_width`."""
         global _SIZING_SOLVES
         _SIZING_SOLVES += 1
-        design = self.design
-        length = design.gm_device_length
-        target_gm = design.tca_gm
-        bias = self._bias_per_side
-        vds = self.technology.mid_rail  # drain sits near mid-rail
-
-        def gm_at_width(width: float) -> float:
-            device = Mosfet.nmos(width, length, self.technology)
-            vgs = device.vgs_for_current(bias, vds)
-            return device.operating_point(vgs, vds).gm
-
-        # Bisection on width: gm at fixed current grows with W (smaller Vov).
-        lo, hi = 2e-6, 2000e-6
-        if gm_at_width(hi) < target_gm:
-            raise ValueError("target gm unreachable within the width search range")
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if gm_at_width(mid) < target_gm:
-                lo = mid
-            else:
-                hi = mid
-        return Mosfet.nmos(math.sqrt(lo * hi), length, self.technology)
+        width = gm_device_width(self.design)
+        if width is None:
+            raise ValueError(_UNREACHABLE)
+        return Mosfet.nmos(width, self.design.gm_device_length,
+                           self.technology)
 
     @cached_property
     def bias_point(self) -> MosfetOperatingPoint:

@@ -396,16 +396,13 @@ class MosfetArray:
     """A bank of behavioural MOSFETs evaluated elementwise with NumPy.
 
     Geometry and technology constants may vary per element (one device per
-    Monte-Carlo corner), the polarity is shared.  This is the device layer of
-    the batched sizing solver: :func:`repro.core.transconductance.\
-solve_widths` steps one width bisection for the whole design axis through
-    this bank instead of N scalar bisections.
+    Monte-Carlo corner), the polarity is shared.
 
     **Bit-identity contract**: every derived quantity is computed with the
     same IEEE-754 operation sequence (same association order, same literal
-    constants) as the scalar :class:`Mosfet`, so masked array solves return
-    exactly the scalar solver's doubles — the property the golden spec pins
-    rest on, gated elementwise in ``tests/test_sizing_batch.py``.
+    constants) as the scalar :class:`Mosfet`, so a bank evaluation returns
+    exactly the scalar model's doubles, gated elementwise in
+    ``tests/test_sizing_batch.py``.
     """
 
     def __init__(self, widths, lengths,
@@ -446,7 +443,6 @@ solve_widths` steps one width bisection for the whole design axis through
             [t.lambda_n if nmos else t.lambda_p for t in technologies],
             dtype=float)
         self._theta = np.array([t.theta for t in technologies], dtype=float)
-        self._sign = 1.0 if nmos else -1.0
 
     # -- static helpers -----------------------------------------------------
 
@@ -467,11 +463,6 @@ solve_widths` steps one width bisection for the whole design axis through
     def __len__(self) -> int:
         return int(self.width.size)
 
-    def with_widths(self, widths) -> "MosfetArray":
-        """The same bank re-drawn at new widths (the bisection step)."""
-        return MosfetArray(widths, self.length, self.polarity,
-                           self.technologies)
-
     def element(self, index: int) -> Mosfet:
         """The scalar :class:`Mosfet` equivalent of one bank element."""
         return Mosfet(MosfetParameters(
@@ -485,8 +476,8 @@ solve_widths` steps one width bisection for the whole design axis through
 
     # -- DC model -----------------------------------------------------------
 
-    def _evaluate(self, nvgs: np.ndarray, nvds: np.ndarray,
-                  current_only: bool) -> tuple[np.ndarray, ...]:
+    def _evaluate(self, nvgs: np.ndarray,
+                  nvds: np.ndarray) -> tuple[np.ndarray, ...]:
         """The square-law equations on polarity-normalised voltage arrays.
 
         Every arithmetic expression below mirrors a line of the scalar
@@ -500,7 +491,6 @@ solve_widths` steps one width bisection for the whole design axis through
         lam = self._lambda
         cutoff = (vov <= 0.0) | (nvds < 0.0)
         saturated = ~cutoff & (nvds >= vov)
-        triode = ~cutoff & ~saturated
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             degradation = 1.0 + theta * vov
             beta_eff = beta / degradation
@@ -508,14 +498,10 @@ solve_widths` steps one width bisection for the whole design axis through
             id_sat = 0.5 * beta_eff * vov * vov * clm
             id_tri = beta_eff * (vov * nvds - 0.5 * nvds * nvds) * clm
             id_ = np.where(cutoff, 0.0, np.where(saturated, id_sat, id_tri))
-            if current_only:
-                return (id_,)
             # The scalar model writes ``degradation ** 2``, which CPython
             # routes through libm pow() — occasionally 1 ulp away from the
             # x*x that numpy lowers ``arr ** 2`` to.  Square per element
-            # through math.pow to honour the bit-identity contract; gm is
-            # only evaluated on full operating-point calls, never inside
-            # the current-only bisection loop, so the Python loop is cold.
+            # through math.pow to honour the bit-identity contract.
             deg_sq = np.fromiter(
                 (math.pow(v, 2.0) for v in degradation.flat),
                 dtype=float, count=degradation.size,
@@ -541,67 +527,12 @@ solve_widths` steps one width bisection for the whole design axis through
             return -nvgs, -nvds
         return nvgs, nvds
 
-    def drain_current(self, vgs, vds) -> np.ndarray:
-        """Per-element drain current magnitude (A); the bisection fast path."""
-        nvgs, nvds = self._normalise(vgs, vds)
-        (id_,) = self._evaluate(nvgs, nvds, current_only=True)
-        return id_
-
     def operating_point(self, vgs, vds) -> MosfetArrayOperatingPoint:
         """Per-element DC operating points at (broadcastable) bias arrays."""
         nvgs, nvds = self._normalise(vgs, vds)
-        id_, gm, gds, vov = self._evaluate(nvgs, nvds, current_only=False)
+        id_, gm, gds, vov = self._evaluate(nvgs, nvds)
         return MosfetArrayOperatingPoint(id=id_, gm=gm, gds=gds,
                                          vgs=nvgs, vds=nvds, vov=vov)
-
-    # -- bias solving -------------------------------------------------------
-
-    def vgs_for_current(self, target_id, vds, tolerance: float = 1e-12,
-                        max_iterations: int = 200) -> np.ndarray:
-        """Per-element gate voltages producing ``target_id`` at ``vds``.
-
-        The masked twin of :meth:`Mosfet.vgs_for_current`: one bisection
-        loop steps every element together, and a per-element convergence
-        mask freezes an element's bracket the moment it reaches the scalar
-        solver's stopping width — after which further iterations cannot
-        move it, so each element retraces the scalar iterate sequence
-        exactly.
-        """
-        target = np.broadcast_to(np.asarray(target_id, dtype=float),
-                                 self.width.shape).astype(float)
-        if np.any(target < 0):
-            raise ValueError("target drain current must be non-negative")
-        nvds = np.abs(np.broadcast_to(np.asarray(vds, dtype=float),
-                                      self.width.shape).astype(float))
-        sign = self._sign
-
-        lo = self._vth.copy()
-        hi = self._vth + 3.0  # generous upper bound on the overdrive
-        active = target > 0.0
-
-        # The scalar solver's reachability guard, evaluated per element.
-        (id_hi,) = self._evaluate(hi, nvds, current_only=True)
-        unreachable = active & (id_hi < target)
-        if np.any(unreachable):
-            indices = np.flatnonzero(unreachable)
-            shown = ", ".join(
-                f"[{i}] {target[i]:.3g} A" for i in indices[:5])
-            if indices.size > 5:
-                shown += f", ... ({indices.size} total)"
-            raise ValueError(
-                "target current is unreachable for this geometry at bank "
-                f"element(s): {shown}")
-
-        for _ in range(max_iterations):
-            if not np.any(active):
-                break
-            mid = 0.5 * (lo + hi)
-            (id_mid,) = self._evaluate(mid, nvds, current_only=True)
-            below = id_mid < target
-            lo = np.where(active & below, mid, lo)
-            hi = np.where(active & ~below, mid, hi)
-            active = active & ~((hi - lo) < tolerance)
-        return np.where(target == 0.0, 0.0, sign * 0.5 * (lo + hi))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MosfetArray({self.polarity.value}, n={len(self)}, "

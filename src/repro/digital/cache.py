@@ -43,7 +43,7 @@ from repro.waveform.cache import WaveformCache
 
 #: Schema/semantics version of the cached payloads; bump on any change to
 #: what the cached measures mean — old entries then miss and are recomputed.
-DIGITAL_CACHE_VERSION = 1
+DIGITAL_CACHE_VERSION = 2
 
 
 def default_digital_cache_dir() -> Path:

@@ -47,6 +47,7 @@ from repro.serve.jobs import (
     ERROR_VALIDATION,
     JobManager,
     JobQueueFullError,
+    encode_json,
 )
 from repro.serve.metrics import ServerMetrics
 from repro.sweep.parallel import set_pool_reuse, shutdown_shared_pools
@@ -107,13 +108,11 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: dict,
+    def _send_json(self, status: int, payload: dict | bytes,
                    extra_headers: dict[str, str] | None = None) -> int:
-        # allow_nan=False guards the wire contract: every payload must be
-        # strict RFC 8259 JSON (non-finite floats travel as tagged values,
-        # see repro.api.serialization), so a regression raises here instead
-        # of emitting a bare Infinity/NaN token no non-Python client parses.
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        # ``bytes`` are an already-encoded body (a finished job's result);
+        # anything else goes through the same strict-JSON encoder.
+        body = payload if isinstance(payload, bytes) else encode_json(payload)
         # From here the status line is on the wire: any later failure must
         # drop the connection, never write a second response into it.
         self._headers_sent = True
@@ -288,8 +287,9 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
         """Render a finished job as the synchronous endpoints always did.
 
         A validation failure is the client's fault (400), anything else is
-        the server's (500); a done spec job's ``result`` *is* the response
-        payload, so the sync wire format is unchanged down to the byte.
+        the server's (500); a done job's ``result`` *is* the encoded
+        response body, so the sync wire format is unchanged down to the
+        byte.
         """
         if job.state == "failed":
             status = 400 if job.error_kind == ERROR_VALIDATION else 500

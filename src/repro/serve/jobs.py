@@ -40,6 +40,7 @@ the historical one-job-per-dequeue path.
 from __future__ import annotations
 
 import itertools
+import json
 import secrets
 import threading
 import time
@@ -76,6 +77,17 @@ ERROR_VALIDATION = "validation"
 ERROR_INTERNAL = "internal"
 
 
+def encode_json(payload: Any) -> bytes:
+    """``payload`` as strict RFC 8259 JSON bytes — the wire encoding.
+
+    ``allow_nan=False`` guards the wire contract: non-finite floats travel
+    as tagged values (see :mod:`repro.api.serialization`), so a regression
+    raises here instead of emitting a bare Infinity/NaN token no
+    non-Python client parses.
+    """
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
 class JobQueueFullError(RuntimeError):
     """Submit refused: the bounded job queue is at capacity (HTTP 429)."""
 
@@ -93,7 +105,10 @@ class Job:
     started_monotonic: float | None = None
     finished_monotonic: float | None = None
     progress: dict[str, Any] = field(default_factory=dict)
-    result: dict | None = None
+    #: The finished result as its wire bytes (:func:`encode_json`), encoded
+    #: once by the worker: a retained job holds one flat buffer instead of
+    #: the response's dict tree, and the sync endpoints write it unchanged.
+    result: bytes | None = None
     error: str | None = None
     error_kind: str | None = None
     done_event: threading.Event = field(default_factory=threading.Event)
@@ -134,7 +149,7 @@ class Job:
             payload["error"] = self.error
             payload["error_kind"] = self.error_kind
         if include_result and self.state == JOB_DONE:
-            payload["result"] = self.result
+            payload["result"] = json.loads(self.result)
         return payload
 
 
@@ -379,7 +394,7 @@ class JobManager:
             return str(error), ERROR_VALIDATION
         return f"{type(error).__name__}: {error}", ERROR_INTERNAL
 
-    def _finish_done_locked(self, job: Job, result: dict, now: float) -> None:
+    def _finish_done_locked(self, job: Job, result: bytes, now: float) -> None:
         job.result = result
         job.state = JOB_DONE
         job.finished_monotonic = now
@@ -404,8 +419,8 @@ class JobManager:
         progress dict (each job keeps a private channel, observable at its
         own ``GET /v1/jobs/<id>``).  On success each member's response is
         bit-identical to a solo submit (the pinned batch path); followers
-        receive a copy of their leader's payload.  On failure every job in
-        the set fails with the same classified error.
+        share their leader's encoded bytes.  On failure every job in the
+        set fails with the same classified error.
         """
         jobs = [job for _, job in members]
 
@@ -419,8 +434,7 @@ class JobManager:
         try:
             with progress_scope(_broadcast):
                 if len(jobs) == 1:
-                    results = [self.service.submit(jobs[0].requests[0])
-                               .to_dict()]
+                    responses = [self.service.submit(jobs[0].requests[0])]
                 else:
                     requests = [job.requests[0] for job in jobs]
                     responses, groups = self.service.plan_groups(requests)
@@ -428,7 +442,8 @@ class JobManager:
                         for index, response in \
                                 self.service.execute_group(group):
                             responses[index] = response
-                    results = [response.to_dict() for response in responses]
+            results = [encode_json(response.to_dict())
+                       for response in responses]
         except Exception as error:  # noqa: BLE001 - jobs record any failure
             message, kind = self._classify(error)
             now = time.monotonic()
@@ -450,9 +465,8 @@ class JobManager:
                 followers, job.followers = job.followers, []
                 self._finish_done_locked(job, result, now)
                 for follower in followers:
-                    # A distinct (shallow-copied) payload per waiter: every
-                    # job answers its own client independently.
-                    self._finish_done_locked(follower, dict(result), now)
+                    # Immutable bytes: every waiter shares its leader's.
+                    self._finish_done_locked(follower, result, now)
 
     def _note_batch_locked(self, members: list[tuple[str, Job]]) -> None:
         answered = len(members) + sum(len(job.followers)
@@ -471,10 +485,11 @@ class JobManager:
             with progress_scope(_merge):
                 if job.kind == "spec":
                     response = self.service.submit(job.requests[0])
-                    result: dict = response.to_dict()
+                    payload: dict = response.to_dict()
                 else:
                     responses = self.service.submit_batch(job.requests)
-                    result = {"responses": [r.to_dict() for r in responses]}
+                    payload = {"responses": [r.to_dict() for r in responses]}
+            result = encode_json(payload)
             with self._lock:
                 job.result = result
                 job.state = JOB_DONE

@@ -45,7 +45,7 @@ from repro.core.reconfigurable_mixer import SpecIntermediates
 
 #: Schema/semantics version of the cached payloads.  Bump on any change to
 #: what the cached numbers mean; old entries then miss and are recomputed.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 #: Environment variable that force-disables caching when set to one of
 #: ``off``/``0``/``false``/``no`` (case-insensitive).

@@ -43,7 +43,7 @@ from repro.waveform.plan import StimulusPlan
 
 #: Schema/semantics version of the cached payloads; bump on any change to
 #: what the cached measures mean — old entries then miss and are recomputed.
-WAVEFORM_CACHE_VERSION = 1
+WAVEFORM_CACHE_VERSION = 2
 
 
 def default_waveform_cache_dir() -> Path:

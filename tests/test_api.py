@@ -26,6 +26,7 @@ from repro.api import (
     SpecRequest,
     SpecResponse,
 )
+from repro.api.response_cache import RESPONSE_CACHE_VERSION
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.transconductance import sizing_solve_count
 from repro.experiments import run_fig8, sweep_fig8
@@ -189,6 +190,22 @@ class TestResponseCache:
         response = fresh.submit(request)
         assert sizing_solve_count() == before
         assert response.source == "disk-cache"
+
+    def test_unversioned_disk_entry_is_recomputed(self, tmp_path):
+        # Entries written before the version stamp hold numbers from the
+        # bisection-sized devices; they must miss, not serve.
+        request = small_request("table1")
+        stored = MixerService(response_cache=str(tmp_path)).submit(request)
+        path = tmp_path / f"{stored.request_key}.json"
+        path.write_text(json.dumps(stored.to_dict()), encoding="utf-8")
+        fresh = MixerService(response_cache=str(tmp_path))
+        before = sizing_solve_count()
+        response = fresh.submit(request)
+        assert sizing_solve_count() > before
+        assert not response.cached
+        assert fresh.response_cache.corrupt == 1
+        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        assert rewritten["response_cache_version"] == RESPONSE_CACHE_VERSION
 
     def test_response_cache_off(self):
         service = MixerService(response_cache=False)

@@ -273,6 +273,25 @@ class TestDigitalExperiments:
             assert np.array_equal(first.for_mode(mode).snr_db,
                                   again.for_mode(mode).snr_db)
 
+    def test_digital_if_version_1_entries_are_recomputed(self, design,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # Version 1 entries were quantized on bisection-sized devices.
+        from repro.digital import cache as digital_cache
+        from repro.experiments import run_digital_if
+
+        with monkeypatch.context() as patched:
+            patched.setattr(digital_cache, "DIGITAL_CACHE_VERSION", 1)
+            first = run_digital_if(design, adc_bits=SMALL_BITS,
+                                   cache=str(tmp_path))
+        passes = digital_pass_count()
+        again = run_digital_if(design, adc_bits=SMALL_BITS,
+                               cache=str(tmp_path))
+        assert digital_pass_count() > passes
+        for mode in (MixerMode.ACTIVE, MixerMode.PASSIVE):
+            assert np.array_equal(first.for_mode(mode).snr_db,
+                                  again.for_mode(mode).snr_db)
+
     def test_bits_floor_finds_finite_minima(self, design):
         from repro.experiments import run_bits_floor
         from repro.experiments.bits_floor import format_report

@@ -10,6 +10,7 @@ sweep engine.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -44,6 +45,11 @@ def manager():
 
 def echo(value: float, **grid) -> SpecRequest:
     return SpecRequest(experiment="echo", grid={"value": value, **grid})
+
+
+def _decoded(job) -> dict:
+    """A done job's result payload (retained as its wire bytes)."""
+    return json.loads(job.result)
 
 
 class TestProgressScope:
@@ -101,8 +107,15 @@ class TestJobLifecycle:
         manager.wait(job, timeout=WAIT_S)
         assert job.state == JOB_DONE
         expected = manager.service.submit(echo(2.5)).to_dict()
-        assert job.result["result"] == expected["result"]
-        assert job.result["result_schema"] == "EchoResult"
+        assert _decoded(job)["result"] == expected["result"]
+        assert _decoded(job)["result_schema"] == "EchoResult"
+
+    def test_retained_result_is_encoded_bytes(self, manager):
+        # A finished job keeps one flat wire buffer, not the dict tree.
+        job = manager.submit(echo(2.5))
+        manager.wait(job, timeout=WAIT_S)
+        assert type(job.result) is bytes
+        assert job.describe()["result"] == json.loads(job.result)
 
     def test_describe_shape(self, manager):
         job = manager.submit(echo(1.25))
@@ -123,7 +136,7 @@ class TestJobLifecycle:
         manager.wait(job, timeout=WAIT_S)
         assert job.state == JOB_DONE
         values = [entry["result"]["fields"]["value"]
-                  for entry in job.result["responses"]]
+                  for entry in _decoded(job)["responses"]]
         assert values == [3.0, 1.0, 2.0]
 
     def test_malformed_submit_is_synchronous_validation_error(self, manager):
@@ -261,7 +274,7 @@ class TestCoalescing:
             # (which evaluates its three designs through the same runner).
             assert CALLS["batch"] == 1
             assert CALLS["run"] == 4
-            labels = [job.result["result"]["fields"]["label"]
+            labels = [_decoded(job)["result"]["fields"]["label"]
                       for job in jobs]
             assert len(set(labels)) == 3  # each job got its own design back
             coalesce = manager.stats()["coalesce"]
@@ -288,7 +301,7 @@ class TestCoalescing:
             gate.set()
             for job, want in zip(jobs, expected):
                 manager.wait(job, timeout=WAIT_S)
-                got = dict(job.result)
+                got = _decoded(job)
                 # Wall-clock timing is the only field allowed to differ.
                 got.pop("elapsed_s"), want.pop("elapsed_s")
                 assert got == want
@@ -392,7 +405,7 @@ class TestCoalescing:
             for job in jobs:
                 manager.wait(job, timeout=WAIT_S)
                 assert job.state == JOB_DONE
-                labels.add(job.result["result"]["fields"]["label"])
+                labels.add(_decoded(job)["result"]["fields"]["label"])
             assert len(labels) == 2
         finally:
             lead_gate.set()
@@ -428,8 +441,9 @@ class TestSingleflight:
             assert manager.stats()["coalesce"]["singleflight_hits"] == 3
             results = [job.result for job in jobs]
             for left, right in zip(results, results[1:]):
-                assert left == right        # same payload content...
-                assert left is not right    # ...own object per waiter
+                # Same payload; shared safely, since the bytes are immutable.
+                assert left == right
+                assert isinstance(left, bytes)
         finally:
             gate.set()
             manager.shutdown()

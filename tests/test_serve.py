@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -98,6 +99,27 @@ def wait_for(predicate, timeout_s: float = 30.0, interval_s: float = 0.005):
         time.sleep(interval_s)
     raise AssertionError("condition not met within "
                          f"{timeout_s}s: {predicate}")
+
+
+def hold_intermediate_frames(monkeypatch, iterations: int) -> threading.Event:
+    """Pause the optimiser after each intermediate progress frame.
+
+    The search holds until the returned event is set (a poller saw the
+    frame) or 30 s pass, so the streaming tests observe a mid-run frame
+    however fast the search itself runs.
+    """
+    from repro.optimize import search
+
+    seen = threading.Event()
+    report = search.report_progress
+
+    def held(**fields):
+        report(**fields)
+        if fields.get("iteration", iterations) < iterations:
+            seen.wait(timeout=30.0)
+            seen.clear()
+    monkeypatch.setattr(search, "report_progress", held)
+    return seen
 
 
 class TestEndpoints:
@@ -192,6 +214,82 @@ class TestHttpBitIdentity:
                    for request in requests]
         assert [r["result"] for r in batch["responses"]] == \
             [r["result"] for r in singles]
+
+
+class _RecordingService(MixerService):
+    """Keeps a copy of every payload a job worker encodes."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.recorded: list[dict] = []
+
+    def submit(self, request):
+        response = super().submit(request)
+        self.recorded.append(response.to_dict())
+        return response
+
+    def submit_batch(self, requests, workers=None):
+        responses = super().submit_batch(requests, workers=workers)
+        self.recorded.append(
+            {"responses": [response.to_dict() for response in responses]})
+        return responses
+
+
+def _dict_wire_bytes(payload: dict) -> bytes:
+    """The body the handler wrote when jobs retained result dicts."""
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
+def _raw(url: str, payload: dict | None = None) -> bytes:
+    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    request = urllib.request.Request(
+        url, data=data, headers={"Content-Type": "application/json"},
+        method="GET" if payload is None else "POST")
+    with urllib.request.urlopen(request) as response:
+        return response.read()
+
+
+class TestWireBytes:
+    """Jobs retain results as encoded bytes; every body is unchanged."""
+
+    @pytest.fixture()
+    def recording(self):
+        service = _RecordingService(response_cache=False)
+        server = create_server(service=service)
+        thread = serve_in_thread(server)
+        host, port = server.server_address[:2]
+        try:
+            yield server, service, f"http://{host}:{port}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_spec_reply_is_byte_identical(self, recording):
+        _, service, url = recording
+        body = _raw(url + "/v1/spec", small_request("fig8").to_dict())
+        assert body == _dict_wire_bytes(service.recorded[-1])
+
+    def test_batch_reply_is_byte_identical(self, recording):
+        _, service, url = recording
+        requests = [small_request("table1", design).to_dict()
+                    for design in (MixerDesign(),
+                                   MixerDesign().with_gain_setting(1.05))]
+        body = _raw(url + "/v1/batch", {"requests": requests})
+        assert body == _dict_wire_bytes(service.recorded[-1])
+
+    def test_job_descriptor_is_byte_identical(self, recording):
+        server, service, url = recording
+        accepted = post_json(url + "/v1/jobs",
+                             {"request": small_request("fig8").to_dict()})
+        job_id = accepted["job"]["id"]
+        wait_for(lambda: poll_job(url, job_id)["state"] == "done")
+        body = _raw(f"{url}/v1/jobs/{job_id}")
+        job = server.jobs.get(job_id)
+        assert type(job.result) is bytes
+        descriptor = {**job.describe(include_result=False),
+                      "result": service.recorded[-1]}
+        assert body == _dict_wire_bytes({"job": descriptor})
 
 
 class TestCli:
@@ -412,10 +510,12 @@ class TestJobsHttp:
             assert done["result"]["experiment"] == "echo"
             assert done["running_s"] >= 0.0
 
-    def test_yield_opt_job_streams_iteration_history(self, base_url):
+    def test_yield_opt_job_streams_iteration_history(self, base_url,
+                                                     monkeypatch):
         from api_test_helpers import ACTIVE_TARGETS
         grid = {"population": 2, "iterations": 3, "num_samples": 2,
                 "targets": ACTIVE_TARGETS}
+        seen = hold_intermediate_frames(monkeypatch, grid["iterations"])
         submitted = post_json(base_url + "/v1/jobs", {
             "request": {"experiment": "yield_opt", "grid": grid}})["job"]
         frames: list[dict] = []
@@ -426,6 +526,7 @@ class TestJobsHttp:
             job = poll_job(base_url, submitted["id"])
             if job["progress"].get("stage") == "yield_opt":
                 frames.append(dict(job["progress"], state=job["state"]))
+                seen.set()
             time.sleep(0.002)
         assert job["state"] == "done"
         final = job["result"]["result"]["fields"]
@@ -446,10 +547,12 @@ class TestJobsHttp:
         assert last["history"] == final_history
         assert last["best_yield"] == final["best_yield"]
 
-    def test_yield_pareto_job_streams_front_snapshots(self, base_url):
+    def test_yield_pareto_job_streams_front_snapshots(self, base_url,
+                                                      monkeypatch):
         from api_test_helpers import ACTIVE_TARGETS
         grid = {"population": 2, "iterations": 3, "num_samples": 2,
                 "targets": ACTIVE_TARGETS}
+        seen = hold_intermediate_frames(monkeypatch, grid["iterations"])
         submitted = post_json(base_url + "/v1/jobs", {
             "request": {"experiment": "yield_pareto", "grid": grid}})["job"]
         frames: list[dict] = []
@@ -461,6 +564,7 @@ class TestJobsHttp:
             job = poll_job(base_url, submitted["id"])
             if job["progress"].get("stage") == "pareto_opt":
                 frames.append(dict(job["progress"], state=job["state"]))
+                seen.set()
             time.sleep(0.002)
         assert job["state"] == "done"
         final = job["result"]["result"]["fields"]

@@ -1,16 +1,17 @@
-"""Scalar-vs-batched equivalence suite for the array sizing solver.
+"""Sizing-solver suite: closed form, bisection fallback, batched block.
 
-The batched :func:`~repro.core.transconductance.solve_widths` path promises
-**bit-identical** results to the lazy scalar bisection it replaces — that
-contract is what keeps every golden spec pin and design fingerprint
-unchanged when the sweep and waveform engines pre-size whole design blocks.
-This suite pins the contract at every layer: the :class:`MosfetArray`
-device model against the scalar :class:`Mosfet`, the array bias solve
-against the scalar one, the width solver against
-:meth:`TransconductanceAmplifier._size_device`, and the per-element error
-path of an unreachable target.  It also carries the regression test for the
-degenerated-bias fixed-point loop, which now raises instead of silently
-returning a stale current when it fails to converge.
+:func:`~repro.core.transconductance.gm_device_width` sizes the Gm device in
+closed form from the saturated gm/Id wherever that root is the only one,
+and falls back to the width bisection everywhere else.  This suite pins
+the closed form against the retained bisection (1e-12 relative inside its
+domain, bitwise outside it), the unchanged unreachable-target errors, the
+device-evaluation work a cold request now does, the batched
+:func:`~repro.core.transconductance.solve_widths` entry point (bit-identical
+to the lazy scalar solve, since both call the same function), and the
+:class:`MosfetArray` device model against the scalar :class:`Mosfet`.  It
+also carries the regression test for the degenerated-bias fixed-point loop,
+which raises instead of silently returning a stale current when it fails
+to converge.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import ReconfigurableMixer
+from repro.api import MixerService, SpecRequest
 from repro.core.transconductance import (
     TransconductanceAmplifier,
+    _bisect_width,
     batched_sizing_solve_count,
+    gm_device_width,
     sizing_solve_count,
     solve_widths,
 )
-from repro.devices.mosfet import Mosfet, MosfetArray
+from repro.devices.mosfet import Mosfet, MosfetArray, MosfetRegion
 from repro.devices.technology import UMC65_LIKE, fast_corner, slow_corner
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
@@ -100,26 +104,6 @@ class TestMosfetArrayEquivalence:
             scalar = Mosfet.nmos(20e-6, 100e-9, corner)
             assert banked.gm[index] == scalar.operating_point(0.8, 0.6).gm
 
-    @COMMON_SETTINGS
-    @given(target=st.floats(min_value=1e-6, max_value=3e-3),
-           width=st.floats(min_value=5e-6, max_value=500e-6))
-    def test_vgs_for_current_matches_scalar(self, target, width):
-        scalar = Mosfet.nmos(width, 100e-9)
-        bank = MosfetArray.nmos(np.array([width]), np.array([100e-9]))
-        assert bank.vgs_for_current(np.array([target]), 0.6)[0] == \
-            scalar.vgs_for_current(target, 0.6)
-
-    def test_vgs_for_current_zero_target_is_zero(self):
-        bank = MosfetArray.nmos(np.array([20e-6, 20e-6]), np.array([100e-9]))
-        vgs = bank.vgs_for_current(np.array([0.0, 1e-4]), 0.6)
-        assert vgs[0] == 0.0
-        assert vgs[1] > 0.0
-
-    def test_vgs_for_current_unreachable_names_elements(self):
-        bank = MosfetArray.nmos(np.array([20e-6, 2e-6]), np.array([100e-9]))
-        with pytest.raises(ValueError, match=r"\[1\]"):
-            bank.vgs_for_current(np.array([1e-4, 10.0]), 0.6)
-
     def test_element_round_trip(self):
         bank = MosfetArray.nmos(np.array([10e-6, 30e-6]), np.array([100e-9]))
         assert bank.element(1).params.width == 30e-6
@@ -127,7 +111,7 @@ class TestMosfetArrayEquivalence:
 
 
 class TestSolveWidthsEquivalence:
-    """The batched width solver is bit-identical to N scalar bisections."""
+    """The batched width solver is bit-identical to N scalar solves."""
 
     @COMMON_SETTINGS
     @given(scales=st.lists(_SCALES, min_size=2, max_size=6))
@@ -206,6 +190,131 @@ class TestSolveWidthsEquivalence:
                                  "search range"):
             TransconductanceAmplifier(
                 replace(MixerDesign(), tca_gm=1.0)).device
+
+
+def _saturated_root(design: MixerDesign) -> tuple[float, float]:
+    """(overdrive, width) of the saturated gm/Id root, solved independently.
+
+    ``numpy.roots`` on ``rθ·v² + (r − θ)·v − 2``; the width follows from the
+    square-law current at that overdrive.
+    """
+    technology = design.technology
+    bias = design.tca_bias_current / 2.0
+    ratio, theta = design.tca_gm / bias, technology.theta
+    roots = np.roots([ratio * theta, ratio - theta, -2.0])
+    vov = float(max(root.real for root in roots))
+    clm = 1.0 + technology.lambda_n * technology.mid_rail
+    beta = 2.0 * bias * (1.0 + theta * vov) / (vov ** 2 * clm)
+    return vov, beta * design.gm_device_length / technology.u_cox_n
+
+
+def _closed_form_domain(design: MixerDesign) -> bool:
+    """Whether the closed form, not the bisection, sizes ``design``."""
+    bias = design.tca_bias_current / 2.0
+    _, width = _saturated_root(design)
+    return (design.tca_gm >= 2.0 * bias / design.technology.mid_rail
+            and 2e-6 <= width <= 2000e-6)
+
+
+def _assert_closed_form_matches(design: MixerDesign,
+                                rel: float = 1e-12) -> None:
+    """Width vs the bisection, and gm at the bias point vs the target."""
+    width, reference = gm_device_width(design), _bisect_width(design)
+    assert abs(width - reference) <= rel * reference
+    gm = TransconductanceAmplifier(design).raw_gm
+    assert abs(gm - design.tca_gm) <= rel * design.tca_gm
+
+
+def _bisection_resolution(design: MixerDesign) -> float:
+    """Relative resolution of the bisection reference at ``design``.
+
+    Its inner bias solve stops once the gate bracket is under 1e-12 V, so
+    the gm it reads carries up to ~5e-13/v_ov relative error, and the width
+    (gm ~ sqrt(W) at fixed current) twice that; doubled again for margin.
+    """
+    vov, _ = _saturated_root(design)
+    return max(1e-12, 2e-12 / vov)
+
+
+#: ``Mosfet.operating_point`` calls of one cold solo fig8 request when every
+#: width was bisected (the closed form measures 194).
+_BISECTED_FIG8_OPERATING_POINT_CALLS = 7322
+
+
+class TestClosedFormSizing:
+    """The closed-form width agrees with the bisection it short-cuts."""
+
+    @COMMON_SETTINGS
+    @given(scales=_SCALES)
+    def test_scales_match_bisection(self, scales):
+        design = _perturbed(MixerDesign(), *scales)
+        if _closed_form_domain(design):
+            _assert_closed_form_matches(design,
+                                        _bisection_resolution(design))
+        else:
+            assert gm_device_width(design) == _bisect_width(design)
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (1.6, 0.6), (0.6, 0.6)])
+    def test_root_is_exact_in_the_device_model(self, scales):
+        # At the root's overdrive the model reproduces both the bias
+        # current and the target gm to rounding — the bisection's own
+        # residual is what the looser _SCALES tolerance absorbs.
+        design = _perturbed(MixerDesign(), *scales)
+        vov, _ = _saturated_root(design)
+        technology = design.technology
+        device = Mosfet.nmos(gm_device_width(design),
+                             design.gm_device_length, technology)
+        op = device.operating_point(technology.vth_n + vov,
+                                    technology.mid_rail)
+        bias = design.tca_bias_current / 2.0
+        assert op.region is MosfetRegion.SATURATION
+        assert abs(op.id - bias) <= 1e-14 * bias
+        assert abs(op.gm - design.tca_gm) <= 1e-14 * design.tca_gm
+
+    def test_monte_carlo_population_in_domain(self):
+        for design in _mc_designs(24, seed=7):
+            assert _closed_form_domain(design)
+            _assert_closed_form_matches(design)
+
+    @pytest.mark.parametrize("corner", [slow_corner, fast_corner])
+    def test_process_corners_in_domain(self, corner):
+        design = replace(MixerDesign(), technology=corner())
+        assert _closed_form_domain(design)
+        _assert_closed_form_matches(design)
+
+    @pytest.mark.parametrize("design", [
+        # gm/Id below 2/v_ds: a triode root competes, so the bisection runs.
+        _perturbed(MixerDesign(), 0.5, 1.5),
+        # The same gm/Id sits inside the domain at 1.2 V, not at 0.8 V.
+        replace(MixerDesign(), tca_gm=MixerDesign().tca_gm * 0.5,
+                technology=UMC65_LIKE.scaled_supply(0.8)),
+        # The saturated root is narrower than the 2 um search floor.
+        replace(MixerDesign(), tca_gm=1e-4, tca_bias_current=1e-5),
+    ], ids=["low-gm-over-id", "0v8-supply", "below-2um"])
+    def test_outside_domain_is_the_bisection_bitwise(self, design):
+        assert not _closed_form_domain(design)
+        reference = _bisect_width(design)
+        assert gm_device_width(design) == reference
+        assert _scalar_width(design) == reference
+        assert solve_widths([design, design])[1] == reference
+
+    def test_unreachable_target_is_none(self):
+        assert gm_device_width(replace(MixerDesign(), tca_gm=1.0)) is None
+
+    def test_cold_fig8_device_evaluations(self, monkeypatch):
+        # Solo requests size lazily through the scalar path, so the count
+        # is one request's whole device-model work.
+        calls = []
+        evaluate = Mosfet.operating_point
+
+        def counting(self, *args, **kwargs):
+            calls.append(None)
+            return evaluate(self, *args, **kwargs)
+        monkeypatch.setattr(Mosfet, "operating_point", counting)
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
+        MixerService(response_cache=False).submit(
+            SpecRequest(experiment="fig8"))
+        assert 0 < len(calls) <= _BISECTED_FIG8_OPERATING_POINT_CALLS // 20
 
 
 class TestSeedDevice:

@@ -97,6 +97,21 @@ class TestRunnerIntegration:
         for spec in cold.spec_names:
             np.testing.assert_array_equal(bumped.data[spec], cold.data[spec])
 
+    def test_version_1_entries_are_recomputed(self, design, tmp_path,
+                                              monkeypatch):
+        # Version 1 entries hold bisection-sized widths; the closed-form
+        # solver's numbers differ in the last bits, so they must not serve.
+        grid = dict(rf_frequencies=[2.405e9])
+        with monkeypatch.context() as patched:
+            patched.setattr(cache_module, "CACHE_VERSION", 1)
+            SweepRunner(design, cache=tmp_path).run(**grid)
+        runner = SweepRunner(design, cache=tmp_path)
+        before = sizing_solve_count()
+        runner.run(**grid)
+        assert sizing_solve_count() - before > 0
+        assert runner.cache.hits == 0
+        assert runner.cache.stores == 2
+
     def test_corrupted_entry_falls_back_to_recompute(self, design, tmp_path):
         runner = SweepRunner(design, cache=tmp_path)
         cold = runner.run(modes=[MixerMode.ACTIVE])

@@ -396,6 +396,23 @@ class TestBatchAdapters:
         assert again.active.analytic_iip3_dbm == first.active.analytic_iip3_dbm
 
 
+    def test_fig10_version_1_entries_are_recomputed(self, design, tmp_path,
+                                                    monkeypatch):
+        # Version 1 entries were measured on bisection-sized devices.
+        from repro.experiments import run_fig10
+        from repro.waveform import cache as waveform_cache
+
+        with monkeypatch.context() as patched:
+            patched.setattr(waveform_cache, "WAVEFORM_CACHE_VERSION", 1)
+            first = run_fig10(design, input_powers_dbm=self.SMALL_POWERS,
+                              cache=str(tmp_path))
+        ffts = waveform_fft_count()
+        again = run_fig10(design, input_powers_dbm=self.SMALL_POWERS,
+                          cache=str(tmp_path))
+        assert waveform_fft_count() > ffts
+        assert again.passive.iip3_dbm == first.passive.iip3_dbm
+
+
 class TestNonFiniteWireFormat:
     """inf/nan results (unreached compression) must serve as strict JSON."""
 
