@@ -30,7 +30,7 @@ from repro.core.config import MixerDesign
 #: v3: requests carry an explicit ``api_version`` field (mismatches are a
 #: structured error naming both versions instead of a silent reinterpretation),
 #: optimisation requests travel the standard envelope (``yield_pareto``
-#: joined the registry; the ``YieldRequest`` side-door is deprecated), and
+#: joined the registry and the old typed side-door was retired), and
 #: ``GET /v1/experiments`` serves the registry metadata.
 API_VERSION = 3
 

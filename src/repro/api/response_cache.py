@@ -2,15 +2,16 @@
 
 This is the layer *above* the sweep engine's :class:`~repro.sweep.cache.\
 SpecCache`: where the spec cache remembers solved per-(design, mode)
-intermediates so a re-run skips the sizing bisections, the response cache
+intermediates so a re-run skips the sizing solves, the response cache
 remembers the **entire encoded answer** to a request, keyed on
 ``(design fingerprint, experiment, resolved-grid hash)`` — a repeated
-identical request never reaches the engine at all (zero sizing bisections,
+identical request never reaches the engine at all (zero sizing solves,
 asserted in ``tests/test_api.py``).
 
 Both tiers follow the same discipline as the spec cache: content-addressed
 keys (the request key already folds in :data:`~repro.api.request.\
-API_VERSION`), atomic writes, corrupt entries degrading to recompute, and a
+API_VERSION`), atomic writes, corrupt entries degrading to recompute, failed
+disk writes counted (``write_errors``) instead of failing the request, and a
 :data:`RESPONSE_CACHE_VERSION` stamped on every disk entry so numbers
 computed by an older engine miss without touching the wire contract.
 The in-memory tier is a bounded LRU so a long-lived server keeps its hot
@@ -64,6 +65,7 @@ class ResponseCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
+        self.write_errors = 0
 
     # -- keys -----------------------------------------------------------------
 
@@ -118,7 +120,12 @@ class ResponseCache:
         return entry, "disk"
 
     def store(self, key: str, entry: dict) -> None:
-        """Persist one response entry under its request key (atomically)."""
+        """Persist one response entry under its request key (atomically).
+
+        A disk write failing with ``OSError`` (full disk, read-only
+        directory) is counted in ``write_errors`` and dropped; the memory
+        tier still holds the entry.
+        """
         if entry.get("request_key") != key:
             raise ValueError("entry's request_key must match the store key")
         with self._lock:
@@ -126,8 +133,12 @@ class ResponseCache:
             self.stores += 1
         if self.directory is None:
             return
-        atomic_write_json(self._path(key),
-                          {**entry, _VERSION_FIELD: RESPONSE_CACHE_VERSION})
+        try:
+            atomic_write_json(self._path(key),
+                              {**entry, _VERSION_FIELD: RESPONSE_CACHE_VERSION})
+        except OSError:
+            with self._lock:
+                self.write_errors += 1
 
     def _remember(self, key: str, entry: dict) -> None:
         """Insert into the LRU tier, evicting the least recent past capacity."""
@@ -172,6 +183,7 @@ class ResponseCache:
                 "misses": self.misses,
                 "stores": self.stores,
                 "corrupt": self.corrupt,
+                "write_errors": self.write_errors,
                 "hit_rate": hits / lookups if lookups else 0.0,
             }
 

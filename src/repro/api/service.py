@@ -3,7 +3,7 @@
 :class:`MixerService` is what "serve the paper" means in code: it validates
 :class:`~repro.api.request.SpecRequest` objects against the experiment
 registry, answers repeated requests from a two-tier response cache without
-touching the engine (zero sizing bisections — the acceptance bar from the
+touching the engine (zero sizing solves — the acceptance bar from the
 sweep-cache work, lifted to whole requests), dispatches misses to the
 ``run_*`` drivers, and fans batch requests over the same design axis out
 through the sweep engine's :class:`~repro.sweep.parallel.ParallelSweepRunner`

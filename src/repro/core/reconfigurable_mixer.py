@@ -296,7 +296,7 @@ solve_widths` element seeds both TCA configurations with one shared
         """Install externally solved intermediates (the on-disk spec cache).
 
         Seeding the per-mode memo is what lets a warm-cache sweep skip the
-        device sizing bisection entirely: every spec accessor reads
+        device sizing solve entirely: every spec accessor reads
         :meth:`spec_intermediates` first, and with the entry present nothing
         ever touches the sized device.  The caller is responsible for the
         entry matching this mixer's design record; the mode is taken from the

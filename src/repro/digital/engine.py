@@ -49,9 +49,10 @@ from repro.digital.blocks import (
     round_shift,
     wrap_to_width,
 )
-from repro.digital.cache import resolve_digital_cache
+from repro.digital.cache import DigitalIfCache
 from repro.digital.plan import DigitalIfPlan
 from repro.digital.result import BITS_AXIS, DigitalResult
+from repro.sweep.cache import resolve_cache
 from repro.sweep.grid import SweepAxis
 from repro.units import dbm_from_vrms
 from repro.waveform.engine import WaveformRunner
@@ -187,11 +188,9 @@ class DigitalIfRunner:
     cache:
         Optional on-disk cache of evaluated measures — ``None``/``False``
         (default, off), ``True`` (default directory), a directory path, a
-        :class:`~repro.digital.cache.DigitalIfCache`, or a
-        :class:`~repro.sweep.cache.SpecCache` /
-        :class:`~repro.waveform.cache.WaveformCache` (their directory is
-        shared).  With a warm cache a run performs zero quantization
-        passes.
+        :class:`~repro.digital.cache.DigitalIfCache`, or another engine's
+        :class:`~repro.sweep.cache.CellCache` (its directory is shared).
+        With a warm cache a run performs zero quantization passes.
     waveform:
         Optional shared :class:`~repro.waveform.engine.WaveformRunner`
         supplying the analog sample blocks; passing the runner an
@@ -201,7 +200,7 @@ class DigitalIfRunner:
     def __init__(self, design: MixerDesign | None = None, cache=None,
                  waveform: WaveformRunner | None = None) -> None:
         self.design = design if design is not None else MixerDesign()
-        self.cache = resolve_digital_cache(cache)
+        self.cache = resolve_cache(cache, DigitalIfCache)
         self._waveform = waveform if waveform is not None \
             else WaveformRunner(design=self.design)
 
@@ -255,7 +254,7 @@ class DigitalIfRunner:
                                                   design=record)
             measures = evaluate_digital(plan, if_block)
             if self.cache is not None:
-                self.cache.store(record, mode, plan, measures)
+                self.cache.store(record, mode, measures, plan)
             for measure in plan.measures:
                 data[measure][design_index, mode_index] = measures[measure]
         return DigitalResult((design_axis, mode_axis, bits_axis), data)

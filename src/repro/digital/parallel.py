@@ -1,151 +1,35 @@
 """Parallel digital-IF benches: shard the design axis across processes.
 
-Digital cells are embarrassingly parallel across the design axis, exactly
-like the waveform cells they tap: no (design, mode) quantization pass reads
-another's state.  :class:`ParallelDigitalRunner` applies the
-:class:`~repro.sweep.parallel.ParallelSweepRunner` machinery to the digital
-engine — contiguous design-axis slices, each run by an ordinary
-:class:`~repro.digital.engine.DigitalIfRunner` (with its own embedded
-analog tap) in a ``concurrent.futures.ProcessPoolExecutor`` worker,
-stitched back together with the inherited :meth:`SweepResult.concat` along
-the design axis.  The bit-width axis is deliberately *not* sharded: the
-whole point of the broadcast quantizer is that the bits sweep is one
-vectorized pass; the wall-clock cost lives in the per-design device models.
-
-Determinism: every cell runs exactly the same code path as the inline
-runner, so the stitched result is **bit-identical** to
-:meth:`DigitalIfRunner.run` on the same grid for any worker count.  Shards
-share one on-disk :class:`~repro.digital.cache.DigitalIfCache` directory,
-so any cell one shard (or a previous run) evaluated is a pure read for
-every other.
+:class:`ParallelDigitalRunner` is the digital engine's flavour of
+:class:`~repro.sweep.parallel.ShardedRunner`: contiguous design-axis
+slices, each run by an ordinary :class:`~repro.digital.engine.DigitalIfRunner`
+(with its own embedded analog tap) in a worker process, stitched back with
+:meth:`DigitalResult.concat`.  The bit-width axis is deliberately *not*
+sharded — the broadcast quantizer evaluates every width in one pass per
+cell.  The stitched result is **bit-identical** to
+:meth:`DigitalIfRunner.run` for any worker count.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.api.progress import report_progress
-from repro.core.config import MixerDesign, MixerMode
-from repro.digital.cache import DigitalIfCache, resolve_digital_cache
+from repro.api.progress import report_progress  # noqa: F401 - servebench rebinds it
 from repro.digital.engine import DigitalIfRunner
 from repro.digital.plan import DigitalIfPlan
 from repro.digital.result import DigitalResult
-from repro.sweep.grid import DESIGN_AXIS, SweepAxis
-from repro.sweep.parallel import executor_for
+from repro.sweep.parallel import ShardedRunner
 
 
-@dataclass(frozen=True)
-class _DigitalShardTask:
-    """Everything one worker needs to run its slice of the design axis.
+class ParallelDigitalRunner(ShardedRunner):
+    """Drop-in :class:`DigitalIfRunner` sharding the design axis over processes."""
 
-    Digital plans are frozen records of plain numbers (with a frozen
-    stimulus plan inside) and designs are frozen dataclasses, so the task
-    crosses the process boundary cheaply under any start method.
-    """
+    engine = DigitalIfRunner
+    stage = "digital"
 
-    plan: DigitalIfPlan
-    labels: tuple[str, ...]
-    records: tuple[MixerDesign, ...]
-    modes: tuple[MixerMode, ...]
-    cache_dir: str | None
-
-
-def _run_digital_shard(task: _DigitalShardTask) -> DigitalResult:
-    """Worker entry point: one DigitalIfRunner over one design-axis slice."""
-    cache = DigitalIfCache(task.cache_dir) if task.cache_dir is not None \
-        else None
-    runner = DigitalIfRunner(task.records[0], cache=cache)
-    return runner.run(task.plan, modes=task.modes,
-                      designs=dict(zip(task.labels, task.records)))
-
-
-class ParallelDigitalRunner:
-    """Drop-in :class:`DigitalIfRunner` sharding the design axis over processes.
-
-    Parameters mirror :class:`~repro.waveform.parallel.ParallelWaveformRunner`:
-    ``workers=None`` means ``os.cpu_count()``; with one worker — or a design
-    axis too short to shard — the bench runs inline, no pool spawned.
-    """
-
-    def __init__(self, design: MixerDesign | None = None,
-                 workers: int | None = None, cache=None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = int(workers) if workers is not None \
-            else (os.cpu_count() or 1)
-        self.cache = resolve_digital_cache(cache)
-        # The inline runner owns the design-axis labelling rules and the
-        # single-process fallback, so both paths stay identical.
-        self._inline = DigitalIfRunner(design, cache=self.cache)
-
-    @property
-    def design(self) -> MixerDesign:
-        """The baseline design record."""
-        return self._inline.design
-
-    def run(self, plan: DigitalIfPlan,
-            modes=None, designs=None) -> DigitalResult:
+    def run(self, plan: DigitalIfPlan, modes=None,
+            designs=None) -> DigitalResult:
         """Evaluate ``plan`` over the grid, sharded along the design axis.
 
         Accepts exactly the arguments of :meth:`DigitalIfRunner.run` and
-        returns a bit-identical :class:`DigitalResult` for any worker
-        count.
+        returns a bit-identical :class:`DigitalResult`.
         """
-        if not isinstance(plan, DigitalIfPlan):
-            raise TypeError("run() needs a DigitalIfPlan")
-        design_axis, records = SweepAxis.design_axis(designs,
-                                                     self._inline.design)
-        _, members = SweepAxis.mode_axis(modes)
-
-        shard_count = min(self.workers, len(records))
-        if shard_count <= 1:
-            return self._inline.run(plan, modes=members,
-                                    designs=dict(zip(design_axis.values,
-                                                     records)))
-
-        labels = design_axis.values
-        cache_dir = str(self.cache.directory) if self.cache is not None \
-            else None
-        tasks = []
-        for bounds in np.array_split(np.arange(len(records)), shard_count):
-            start, stop = int(bounds[0]), int(bounds[-1]) + 1
-            tasks.append(_DigitalShardTask(
-                plan=plan,
-                labels=tuple(labels[start:stop]),
-                records=tuple(records[start:stop]),
-                modes=tuple(members),
-                cache_dir=cache_dir,
-            ))
-        shards: list[DigitalResult] = []
-        designs_done = 0
-        # Pools come from the shared sweep-layer registry when reuse is on
-        # (the serving layer's configuration), else one private pool as
-        # before; completed shards stream as job progress either way.
-        with executor_for(shard_count) as pool:
-            for task, shard in zip(tasks,
-                                   pool.map(_run_digital_shard, tasks)):
-                shards.append(shard)
-                designs_done += len(task.labels)
-                report_progress(stage="digital", shards_done=len(shards),
-                                shards_total=len(tasks),
-                                designs_done=designs_done,
-                                designs_total=len(records))
-        return DigitalResult.concat(shards, axis=DESIGN_AXIS)
-
-
-def make_digital_runner(design: MixerDesign | None = None,
-                        workers: int | None = None, cache=None
-                        ) -> DigitalIfRunner | ParallelDigitalRunner:
-    """The runner a digital entry point should use for its options.
-
-    Mirrors :func:`repro.waveform.parallel.make_waveform_runner`:
-    ``workers=None`` or ``1`` keeps the plain single-process
-    :class:`DigitalIfRunner`; anything higher returns a
-    :class:`ParallelDigitalRunner`.  ``cache`` is honoured by both.
-    """
-    if workers is None or workers == 1:
-        return DigitalIfRunner(design, cache=cache)
-    return ParallelDigitalRunner(design, workers=workers, cache=cache)
+        return self._run_sharded(modes, designs, plan)

@@ -48,7 +48,7 @@ Every engine-backed entry point (``run_fig8`` / ``run_fig9`` /
 shards the design axis across a process pool (:mod:`repro.sweep.parallel` /
 :mod:`repro.waveform.parallel`, bit-identical results) and ``cache``
 persists the per-cell solutions on disk (:mod:`repro.sweep.cache` /
-:mod:`repro.waveform.cache`) so warm re-runs skip the sizing bisections
+:mod:`repro.waveform.cache`) so warm re-runs skip the sizing solves
 *and* the FFT evaluations.
 
 The figure/table drivers are each frozen by a golden-regression pin in

@@ -33,7 +33,11 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.digital import DigitalResult, digital_if_plan, make_digital_runner
+from repro.digital import (
+    DigitalResult,
+    ParallelDigitalRunner,
+    digital_if_plan,
+)
 from repro.experiments.common import design_and_runner, resolve_design
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
@@ -180,7 +184,8 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
         workers=workers, cache=cache)
     modes = (MixerMode.ACTIVE, MixerMode.PASSIVE)
     analytic = runner.run(modes=modes, designs=dict(designs))
-    digital = make_digital_runner(baseline, workers=workers, cache=cache)
+    digital = ParallelDigitalRunner.for_workers(baseline, workers=workers,
+                                                cache=cache)
 
     # The ADC scan sweeps all candidate resolutions in one vectorized pass
     # (the bits axis); the LO and output scans re-quantize the same memoized

@@ -3,9 +3,10 @@
 Every ``run_*`` entry point used to hand-roll the same two things: the
 ``design: MixerDesign | None = None`` default (fall back to the paper's
 design point) and the ``workers=`` / ``cache=`` forwarding into
-:func:`repro.sweep.make_runner`.  This module is that boilerplate, written
-once, so the drivers stay focused on their artefact and the service layer
-can rely on every entry point resolving its design identically.
+:meth:`~repro.sweep.parallel.ShardedRunner.for_workers`.  This module is
+that boilerplate, written once, so the drivers stay focused on their
+artefact and the service layer can rely on every entry point resolving its
+design identically.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.config import MixerDesign
-from repro.sweep import SpecCache, make_runner
-from repro.sweep.parallel import ParallelSweepRunner
-from repro.sweep.runner import SweepRunner
+from repro.sweep import ParallelSweepRunner, SpecCache, SweepRunner
 
 
 def resolve_design(design: MixerDesign | None) -> MixerDesign:
@@ -35,15 +34,14 @@ def resolve_design(design: MixerDesign | None) -> MixerDesign:
 def design_and_runner(design: MixerDesign | None, specs: Sequence[str],
                       workers: int | None = None,
                       cache: SpecCache | str | bool | None = None,
-                      shared_memory: bool = False,
                       ) -> tuple[MixerDesign, SweepRunner | ParallelSweepRunner]:
     """Resolve the design and build the sweep runner for one entry point.
 
-    This is the one place the ``design``/``workers``/``cache`` (and
-    ``shared_memory``) keywords of every sweep-backed ``run_*`` function are
-    interpreted; see :func:`repro.sweep.make_runner` for the
+    This is the one place the ``design``/``workers``/``cache`` keywords of
+    every sweep-backed ``run_*`` function are interpreted; see
+    :meth:`~repro.sweep.parallel.ShardedRunner.for_workers` for the
     runner-selection rules.
     """
     resolved = resolve_design(design)
-    return resolved, make_runner(resolved, specs=specs, workers=workers,
-                                 cache=cache, shared_memory=shared_memory)
+    return resolved, ParallelSweepRunner.for_workers(
+        resolved, specs=specs, workers=workers, cache=cache)

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.digital import digital_if_plan, make_digital_runner
+from repro.digital import ParallelDigitalRunner, digital_if_plan
 from repro.experiments.common import design_and_runner, resolve_design
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
@@ -110,7 +110,7 @@ def run_digital_if(design: MixerDesign | None = None,
 
     ``workers`` / ``cache`` plug in the sharded runners and on-disk caches
     of every engine involved — a warm re-run performs zero sizing
-    bisections, zero device evaluations and zero quantization passes.
+    solves, zero device evaluations and zero quantization passes.
     """
     return sweep_digital_if({"nominal": resolve_design(design)},
                             lo_frequency_hz=lo_frequency_hz,
@@ -152,9 +152,9 @@ def sweep_digital_if(designs: Mapping[str, MixerDesign],
         workers=workers, cache=cache)
     modes = (MixerMode.ACTIVE, MixerMode.PASSIVE)
     analytic = runner.run(modes=modes, designs=dict(designs))
-    digital = make_digital_runner(baseline, workers=workers,
-                                  cache=cache).run(plan, modes=modes,
-                                                   designs=dict(designs))
+    digital = ParallelDigitalRunner.for_workers(
+        baseline, workers=workers, cache=cache).run(plan, modes=modes,
+                                                    designs=dict(designs))
 
     results: dict[str, DigitalIfResult] = {}
     for label in designs:

@@ -14,7 +14,7 @@ evaluation and the waveform sweep itself runs through the batched
 :class:`~repro.waveform.engine.WaveformRunner` (one stacked time-domain
 evaluation + one batched FFT per (design, mode) cell).  ``workers=`` /
 ``cache=`` therefore apply to **both**: the design axis of either engine
-shards across processes, the spec cache skips sizing bisections and the
+shards across processes, the spec cache skips sizing solves and the
 waveform cache skips FFT evaluations on warm re-runs.
 :func:`sweep_fig10` evaluates whole design populations as one design axis —
 the batch adapter :class:`~repro.api.service.MixerService` fans ``fig10``
@@ -40,7 +40,7 @@ from repro.rf.twotone import fit_intercept_point
 from repro.sweep import SpecCache
 from repro.sweep.result import SweepResult
 from repro.units import ghz, mhz
-from repro.waveform import WaveformResult, make_waveform_runner, two_tone_plan
+from repro.waveform import ParallelWaveformRunner, WaveformResult, two_tone_plan
 # Canonical definition lives with the stimulus plans; re-exported here for
 # backwards compatibility (iip2/p1db and older callers import from us).
 from repro.waveform.plan import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RATE
@@ -108,7 +108,7 @@ def run_fig10(design: MixerDesign | None = None,
     """Regenerate both panels of Fig. 10 (two-tone IIP3, 2.4 GHz LO).
 
     ``workers`` / ``cache`` apply to the analytic reference sweep *and* the
-    waveform bench: a warm cache skips the sizing bisections and serves the
+    waveform bench: a warm cache skips the sizing solves and serves the
     measured spectra without a single FFT evaluation.
     """
     return sweep_fig10({"nominal": resolve_design(design)},
@@ -154,7 +154,8 @@ def sweep_fig10(designs: Mapping[str, MixerDesign],
                           designs=dict(designs))
     plan = two_tone_plan(tone_1_hz, tone_2_hz, powers, sample_rate,
                          num_samples, lo_frequency=lo_frequency_hz)
-    wave = make_waveform_runner(baseline, workers=workers, cache=cache).run(
+    wave = ParallelWaveformRunner.for_workers(
+        baseline, workers=workers, cache=cache).run(
         plan, modes=(MixerMode.PASSIVE, MixerMode.ACTIVE),
         designs=dict(designs))
 

@@ -77,7 +77,7 @@ def run_fig8(design: MixerDesign | None = None,
     7 GHz at 5 MHz IF.  ``workers`` / ``cache`` select the parallel runner
     and the on-disk spec cache (both off by default); with a single design
     the sweep runs inline either way, but a warm cache still skips the
-    sizing bisections.
+    sizing solves.
     """
     return sweep_fig8({"nominal": resolve_design(design)},
                       rf_start_hz=rf_start_hz,

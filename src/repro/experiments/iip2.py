@@ -35,7 +35,7 @@ from repro.experiments.fig10_iip3 import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RAT
 from repro.rf.twotone import fit_intercept_point
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
-from repro.waveform import make_waveform_runner, two_tone_plan
+from repro.waveform import ParallelWaveformRunner, two_tone_plan
 
 #: The paper's acceptance threshold.
 PAPER_IIP2_FLOOR_DBM = 65.0
@@ -84,7 +84,7 @@ def run_iip2(design: MixerDesign | None = None,
     """Measure the IIP2 of both modes with the two-tone waveform bench.
 
     ``workers`` / ``cache`` plug in the sharded runners and the on-disk
-    caches of both engines — a warm re-run performs zero sizing bisections
+    caches of both engines — a warm re-run performs zero sizing solves
     and zero FFT evaluations.
     """
     return sweep_iip2({"nominal": resolve_design(design)},
@@ -126,7 +126,8 @@ def sweep_iip2(designs: Mapping[str, MixerDesign],
     analytic = runner.run(modes=modes, designs=dict(designs))
     plan = two_tone_plan(tone_1_hz, tone_2_hz, powers, sample_rate,
                          num_samples, lo_frequency=lo_frequency_hz)
-    wave = make_waveform_runner(baseline, workers=workers, cache=cache).run(
+    wave = ParallelWaveformRunner.for_workers(
+        baseline, workers=workers, cache=cache).run(
         plan, modes=modes, designs=dict(designs))
 
     results: dict[str, Iip2Result] = {}

@@ -35,7 +35,7 @@ from repro.experiments.fig10_iip3 import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RAT
 from repro.rf.compression import compression_from_gains
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
-from repro.waveform import make_waveform_runner, single_tone_plan
+from repro.waveform import ParallelWaveformRunner, single_tone_plan
 
 
 @dataclass
@@ -95,7 +95,7 @@ def run_p1db(design: MixerDesign | None = None,
     The default power sweep (-40 to -8 dBm in 2 dB steps) reaches
     compression in both modes at the paper's operating point; ``workers`` /
     ``cache`` plug in the sharded runners and on-disk caches of both
-    engines — a warm re-run performs zero sizing bisections and zero FFT
+    engines — a warm re-run performs zero sizing solves and zero FFT
     evaluations.
     """
     return sweep_p1db({"nominal": resolve_design(design)},
@@ -140,7 +140,8 @@ def sweep_p1db(designs: Mapping[str, MixerDesign],
     plan = single_tone_plan(rf_frequency_hz, powers, sample_rate,
                             num_samples, lo_frequency=lo_frequency_hz,
                             output_frequency=if_frequency_hz)
-    wave = make_waveform_runner(baseline, workers=workers, cache=cache).run(
+    wave = ParallelWaveformRunner.for_workers(
+        baseline, workers=workers, cache=cache).run(
         plan, modes=modes, designs=dict(designs))
 
     results: dict[str, P1dbResult] = {}

@@ -120,7 +120,7 @@ def run_table1(design: MixerDesign | None = None,
 
     ``workers`` / ``cache`` select the parallel runner and the on-disk spec
     cache; the spot sweep has a single design, so ``cache`` is the one that
-    pays here (a warm entry skips both modes' sizing bisections).
+    pays here (a warm entry skips both modes' sizing solves).
     """
     return sweep_table1({"nominal": resolve_design(design)},
                         workers=workers, cache=cache)["nominal"]

@@ -20,10 +20,10 @@ The outer loop is a seeded population search:
    candidate 0, the baseline;
 2. every candidate's ``num_samples`` Monte-Carlo corners are evaluated as
    **one design axis** through the sweep engine
-   (:func:`repro.sweep.make_runner`), so ``workers=`` shards the whole
+   (:class:`repro.sweep.ParallelSweepRunner`), so ``workers=`` shards the whole
    population x samples grid across processes and ``cache=`` persists every
    sizing/bias solution — a re-run of the same search is pure array maths
-   with **zero sizing bisections** (gated in
+   with **zero sizing solves** (gated in
    ``benchmarks/test_bench_optimize.py``);
 3. the best candidate (strictly higher yield; ties keep the incumbent)
    becomes the next centre.
@@ -63,7 +63,7 @@ from repro.api.progress import report_progress
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
 from repro.devices.technology import Technology
-from repro.digital import digital_if_plan, make_digital_runner
+from repro.digital import ParallelDigitalRunner, digital_if_plan
 from repro.optimize.pareto import (
     Objective,
     ParetoFront,
@@ -90,7 +90,7 @@ from repro.sweep.runner import ALL_SPECS
 from repro.waveform import (
     DEFAULT_NUM_SAMPLES,
     DEFAULT_SAMPLE_RATE,
-    make_waveform_runner,
+    ParallelWaveformRunner,
     single_tone_plan,
     two_tone_plan,
 )
@@ -401,7 +401,7 @@ class _CornerScorer:
 
     def __init__(self, design: MixerDesign | None,
                  needs: Sequence[_MetricNeed], *, workers: int | None,
-                 cache, shared_memory: bool) -> None:
+                 cache) -> None:
         self.needs = list(needs)
         self.analytic = [n for n in self.needs
                          if not (n.is_waveform or n.is_digital)]
@@ -418,13 +418,12 @@ class _CornerScorer:
         from repro.experiments.common import design_and_runner, resolve_design
         if self.analytic:
             self.base, self.runner = design_and_runner(
-                design, specs=self.specs, workers=workers, cache=cache,
-                shared_memory=shared_memory)
+                design, specs=self.specs, workers=workers, cache=cache)
         else:
             self.base, self.runner = resolve_design(design), None
-        self.wave_runner = make_waveform_runner(
+        self.wave_runner = ParallelWaveformRunner.for_workers(
             self.base, workers=workers, cache=cache) if self.waveform else None
-        self.digital_runner = make_digital_runner(
+        self.digital_runner = ParallelDigitalRunner.for_workers(
             self.base, workers=workers, cache=cache) if self.digital else None
 
     def values(self, corner_designs: Mapping[str, MixerDesign]
@@ -476,8 +475,7 @@ def run_yield_opt(design: MixerDesign | None = None,
                   strategy: str = "shrinking_span",
                   objectives: Sequence | None = None,
                   workers: int | None = None,
-                  cache: SpecCache | str | bool | None = None,
-                  shared_memory: bool = False
+                  cache: SpecCache | str | bool | None = None
                   ) -> YieldOptResult | ParetoOptResult:
     """Search the design knobs for maximum yield against spec targets.
 
@@ -527,11 +525,9 @@ def run_yield_opt(design: MixerDesign | None = None,
         direction]`` arrays) switches to the multi-objective Pareto mode —
         the call is forwarded to :func:`run_pareto_opt` and returns its
         :class:`~repro.optimize.pareto.ParetoOptResult`.
-    workers / cache / shared_memory:
-        Sweep-engine options: process count for the sharded runner, the
-        on-disk :class:`~repro.sweep.cache.SpecCache` of solved cells, and
-        the opt-in shared-memory result hand-off of
-        :class:`~repro.sweep.parallel.ParallelSweepRunner`.
+    workers / cache:
+        Engine options: process count for the sharded runners and the
+        on-disk :class:`~repro.sweep.cache.CellCache` of evaluated cells.
     """
     if objectives is not None:
         return run_pareto_opt(design=design, targets=targets,
@@ -540,15 +536,14 @@ def run_yield_opt(design: MixerDesign | None = None,
                               num_samples=num_samples, seed=seed,
                               search_span=search_span, shrink=shrink,
                               strategy=strategy, workers=workers,
-                              cache=cache, shared_memory=shared_memory)
+                              cache=cache)
     target_list = list(parse_targets(targets))
     knob_list = _validate_knobs(knobs)
     _validate_loop(population, iterations, num_samples, search_span, shrink)
     seed = int(seed)
 
     scorer = _CornerScorer(design, _metric_needs(target_list),
-                           workers=workers, cache=cache,
-                           shared_memory=shared_memory)
+                           workers=workers, cache=cache)
     base = scorer.base
     spread = DeviceSpread()
     proposer = make_strategy(strategy, base, knob_list, seed=seed,
@@ -650,8 +645,8 @@ def run_pareto_opt(design: MixerDesign | None = None,
                    search_span: float = 0.12, shrink: float = 0.5,
                    strategy: str = "shrinking_span",
                    workers: int | None = None,
-                   cache: SpecCache | str | bool | None = None,
-                   shared_memory: bool = False) -> ParetoOptResult:
+                   cache: SpecCache | str | bool | None = None
+                   ) -> ParetoOptResult:
     """Multi-objective search: maintain a Pareto front over the objectives.
 
     Same engine plumbing as :func:`run_yield_opt` — strategy-proposed
@@ -680,8 +675,7 @@ def run_pareto_opt(design: MixerDesign | None = None,
     seed = int(seed)
 
     scorer = _CornerScorer(design, _metric_needs(target_list, objective_list),
-                           workers=workers, cache=cache,
-                           shared_memory=shared_memory)
+                           workers=workers, cache=cache)
     base = scorer.base
     spread = DeviceSpread()
     proposer = make_strategy(strategy, base, knob_list, seed=seed,

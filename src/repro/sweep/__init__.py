@@ -12,12 +12,14 @@ of per-point Python loops:
 * :mod:`repro.sweep.runner` — :class:`SweepRunner`, which memoizes per-design
   mixers and per-(design, mode) spec intermediates, then evaluates whole
   RF x IF planes in single broadcast calls;
-* :mod:`repro.sweep.parallel` — :class:`ParallelSweepRunner`, sharding the
-  design axis across a process pool and stitching shard outputs back with
-  :meth:`SweepResult.concat` (bit-identical to the single-process run);
-* :mod:`repro.sweep.cache` — :class:`SpecCache`, a content-addressed on-disk
-  cache of solved per-(design, mode) intermediates keyed on the design
-  record's stable fingerprint, so warm re-runs skip every sizing bisection;
+* :mod:`repro.sweep.parallel` — :class:`ShardedRunner`, sharding any
+  engine's design axis across a process pool and stitching shard outputs
+  back with :meth:`SweepResult.concat` (bit-identical to the single-process
+  run), and its spec-sweep flavour :class:`ParallelSweepRunner`;
+* :mod:`repro.sweep.cache` — :class:`CellCache`, the content-addressed
+  on-disk cache every engine keeps its per-(design, mode, plan) cells in,
+  keyed on the design record's stable fingerprint, and :class:`SpecCache`,
+  its spec-engine flavour, so warm re-runs skip every sizing solve;
 * :mod:`repro.sweep.montecarlo` — random device-parameter spread across a
   design axis, the first scenario only the vectorized path can afford (and
   the canonical consumer of ``workers=`` / ``cache=``).
@@ -39,7 +41,7 @@ per design x mode), anything frequency-shaped belongs in an array accessor.
 """
 
 from repro.sweep.cache import (
-    CACHE_VERSION,
+    CellCache,
     SpecCache,
     default_cache_dir,
     resolve_cache,
@@ -51,7 +53,7 @@ from repro.sweep.grid import (
     RF_AXIS,
     SweepAxis,
 )
-from repro.sweep.parallel import ParallelSweepRunner, make_runner
+from repro.sweep.parallel import ParallelSweepRunner, ShardedRunner
 from repro.sweep.montecarlo import (
     DeviceSpread,
     MonteCarloResult,
@@ -70,7 +72,7 @@ from repro.sweep.runner import (
 
 __all__ = [
     "ALL_SPECS",
-    "CACHE_VERSION",
+    "CellCache",
     "DEFAULT_SPECS",
     "DESIGN_AXIS",
     "DeviceSpread",
@@ -81,13 +83,13 @@ __all__ = [
     "MonteCarloResult",
     "ParallelSweepRunner",
     "RF_AXIS",
+    "ShardedRunner",
     "SpecCache",
     "SpecStatistics",
     "SweepAxis",
     "SweepResult",
     "SweepRunner",
     "default_cache_dir",
-    "make_runner",
     "resolve_cache",
     "run_monte_carlo",
     "sample_design",

@@ -1,51 +1,64 @@
-"""Content-addressed on-disk cache of solved spec intermediates.
+"""Content-addressed on-disk cache of evaluated mixer cells.
 
-The expensive part of every sweep cell is frequency-independent: sizing the
-Gm devices (an 80-step width bisection per transconductor), solving the bias
-point, and deriving the linearity/noise/power scalars — everything bundled
-into :class:`~repro.core.reconfigurable_mixer.SpecIntermediates`.  This
-module persists those solutions to disk, keyed on a stable content hash of
-the ``(MixerDesign, MixerMode)`` pair, so a re-run of a Monte-Carlo grid, a
-refined frequency sweep, or a parallel shard in another process skips the
-bisections entirely.
+Every engine evaluates the same unit of work: one **cell**, a (design,
+mode) pair, optionally under a plan (the waveform engine's stimulus, the
+digital engine's bit widths).  :class:`CellCache` persists the cell's
+expensive result — the spec engine's solved
+:class:`~repro.core.reconfigurable_mixer.SpecIntermediates`, the waveform
+and digital engines' measure arrays — keyed on a content hash of
+
+* the cache's **namespace** (``"spec"``, ``"waveform"``, ``"digital"``) and
+  its **version**,
+* :meth:`MixerDesign.fingerprint` (a SHA-256 over the canonical parameter
+  dictionary),
+* the :class:`~repro.core.config.MixerMode`, and
+* the plan's ``content_hash()`` (none for the spec engine),
+
+so a re-run of a Monte-Carlo grid, a refined sweep or a parallel shard in
+another process skips the cell's sizing, FFT or quantization work entirely.
+Each engine declares one subclass naming its namespace, version and codec:
+:class:`SpecCache` here, :class:`~repro.waveform.cache.WaveformCache` and
+:class:`~repro.digital.cache.DigitalIfCache` beside their engines.
 
 Key properties:
 
-* **content-addressed** — the key is derived from
-  :meth:`MixerDesign.fingerprint` (a SHA-256 over the canonical parameter
-  dictionary), the mode, and :data:`CACHE_VERSION`; any design parameter
-  change, however small, maps to a different entry;
-* **versioned invalidation** — bump :data:`CACHE_VERSION` whenever the
-  meaning of a cached field changes (new spec model, changed units): old
+* **content-addressed** — any design parameter, mode or plan change maps to
+  a different entry, and the namespace keeps the engines apart, so all
+  three can share one directory;
+* **versioned invalidation** — bump a cache's ``version`` whenever the
+  meaning of its payload changes (new spec model, changed units): old
   entries stop matching and are recomputed, never reinterpreted;
 * **corruption-safe** — entries are written atomically (temp file +
-  ``os.replace``) and any unreadable/malformed entry is treated as a miss
-  and overwritten by the recomputed solution;
+  ``os.replace``); any unreadable, malformed or mismatched entry is a miss
+  and is overwritten by the recomputed cell;
+* **failure-tolerant** — a failed write (full disk, read-only directory)
+  is counted in ``write_errors`` and otherwise ignored: the caller already
+  holds the computed result;
 * **switchable** — pass ``cache=None``/``False`` (the default everywhere)
   for no caching, or set ``REPRO_SWEEP_CACHE=off`` in the environment to
   force-disable caching even where code requests it;
   ``REPRO_SWEEP_CACHE_DIR`` overrides the default directory.
 
-Cache instances are cheap handles around a directory; separate processes
-(the shards of :class:`~repro.sweep.parallel.ParallelSweepRunner`) can share
-one directory safely because entries are immutable once written and writes
-are atomic.
+Cache instances are cheap, picklable handles around a directory; separate
+processes (the shards of a :class:`~repro.sweep.parallel.ShardedRunner`)
+can share one directory safely because entries are immutable once written
+and writes are atomic.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import threading
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import SpecIntermediates
-
-#: Schema/semantics version of the cached payloads.  Bump on any change to
-#: what the cached numbers mean; old entries then miss and are recomputed.
-CACHE_VERSION = 2
 
 #: Environment variable that force-disables caching when set to one of
 #: ``off``/``0``/``false``/``no`` (case-insensitive).
@@ -64,19 +77,20 @@ def atomic_write_json(path: Path, payload: dict) -> None:
     threaded HTTP server writes cache entries from concurrent handler
     threads, where a pid-only suffix would race), then move into place with
     ``os.replace`` — atomic on POSIX.  Concurrent writers of the same entry
-    at worst race to install identical content.  Shared by
-    :class:`SpecCache` and the API layer's response cache.
+    at worst race to install identical content.  A failed write removes its
+    temp file before the error propagates.  Shared by :class:`CellCache`
+    and the API layer's response cache.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(
         f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-    temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-    os.replace(temp, path)
-
-
-def cache_disabled_by_env() -> bool:
-    """True when the environment force-disables the spec cache."""
-    return os.environ.get(DISABLE_ENV, "").strip().lower() in _DISABLE_VALUES
+    try:
+        temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            temp.unlink(missing_ok=True)
+        raise
 
 
 def default_cache_dir() -> Path:
@@ -84,21 +98,26 @@ def default_cache_dir() -> Path:
     override = os.environ.get(DIRECTORY_ENV, "").strip()
     if override:
         return Path(override)
-    return Path.home() / ".cache" / "repro-mixer" / "sweep-intermediates"
+    return Path.home() / ".cache" / "repro-mixer" / "cells"
 
 
-class SpecCache:
-    """Directory-backed store of :class:`SpecIntermediates` solutions.
+class CellCache:
+    """Directory-backed store of one engine's per-cell results.
 
-    Parameters
-    ----------
-    directory:
-        Where entries live; created lazily on the first store.
+    Subclasses declare ``namespace``, ``version`` and ``codec``; the codec
+    turns a cell's value into JSON-ready data (``encode(value, mode,
+    plan)``, raising ``ValueError`` on a value that does not fit the cell)
+    and back (``decode(data, mode, plan)``, raising ``KeyError``,
+    ``TypeError`` or ``ValueError`` on anything malformed).
 
-    The per-instance ``hits`` / ``misses`` / ``stores`` / ``corrupt``
-    counters cover this process only — the directory itself may be shared
-    with other processes.
+    The per-instance ``hits`` / ``misses`` / ``stores`` / ``corrupt`` /
+    ``write_errors`` counters cover this process only — the directory
+    itself may be shared with other processes.
     """
+
+    namespace: str
+    version: int
+    codec: object
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
@@ -106,41 +125,42 @@ class SpecCache:
         self.misses = 0
         self.stores = 0
         self.corrupt = 0
+        self.write_errors = 0
 
     # -- keys -----------------------------------------------------------------
 
-    def _key(self, fingerprint: str, mode: MixerMode) -> str:
-        payload = json.dumps(
-            {"cache_version": CACHE_VERSION,
-             "design": fingerprint,
-             "mode": mode.value},
-            sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    def _entry(self, design: MixerDesign, mode: MixerMode,
+               plan) -> tuple[Path, dict]:
+        """The entry path and the identity stamped inside it.
 
-    def _path(self, fingerprint: str, mode: MixerMode) -> Path:
-        return self.directory / f"{self._key(fingerprint, mode)}.json"
+        The design fingerprint and the plan hash are computed once here;
+        :meth:`load` compares the stored identity instead of re-hashing.
+        """
+        identity = {"namespace": self.namespace,
+                    "version": self.version,
+                    "design": design.fingerprint(),
+                    "mode": mode.value,
+                    "plan": None if plan is None else plan.content_hash()}
+        key = hashlib.sha256(json.dumps(
+            identity, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        return self.directory / f"{key.hexdigest()}.json", identity
 
-    def entry_key(self, design: MixerDesign, mode: MixerMode) -> str:
-        """Content hash naming the entry for one (design, mode) cell."""
-        return self._key(design.fingerprint(), mode)
-
-    def entry_path(self, design: MixerDesign, mode: MixerMode) -> Path:
-        """Filesystem path of the entry for one (design, mode) cell."""
-        return self._path(design.fingerprint(), mode)
+    def entry_path(self, design: MixerDesign, mode: MixerMode,
+                   plan=None) -> Path:
+        """Filesystem path of the entry for one (design, mode, plan) cell."""
+        return self._entry(design, mode, plan)[0]
 
     # -- load / store ---------------------------------------------------------
 
-    def load(self, design: MixerDesign,
-             mode: MixerMode) -> SpecIntermediates | None:
-        """The cached solution for a cell, or ``None`` on miss/corruption.
+    def load(self, design: MixerDesign, mode: MixerMode, plan=None):
+        """The cached value for a cell, or ``None`` on miss/corruption.
 
-        Every failure mode — missing file, unreadable file, malformed JSON,
-        wrong version, wrong fingerprint, missing or non-numeric fields —
-        degrades to a miss so the caller recomputes (and the subsequent
-        :meth:`store` replaces the bad entry).
+        Every failure mode — missing or unreadable file, malformed JSON,
+        another namespace/version/design/mode/plan, a payload the codec
+        rejects — degrades to a miss so the caller recomputes (and the
+        subsequent :meth:`store` replaces the bad entry).
         """
-        fingerprint = design.fingerprint()
-        path = self._path(fingerprint, mode)
+        path, identity = self._entry(design, mode, plan)
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -151,64 +171,123 @@ class SpecCache:
             self.misses += 1
             return None
         try:
-            payload = json.loads(text)
-            if payload["cache_version"] != CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            if payload["design_fingerprint"] != fingerprint:
-                raise ValueError("design fingerprint mismatch")
-            intermediates = SpecIntermediates.from_dict(payload["intermediates"])
-            if intermediates.mode is not mode:
-                raise ValueError("cached mode mismatch")
+            entry = json.loads(text)
+            if entry["identity"] != identity:
+                raise ValueError("cache entry identity mismatch")
+            value = self.codec.decode(entry["payload"], mode, plan)
         except (KeyError, TypeError, ValueError):
             self.corrupt += 1
             self.misses += 1
             return None
         self.hits += 1
-        return intermediates
+        return value
 
-    def store(self, design: MixerDesign, mode: MixerMode,
-              intermediates: SpecIntermediates) -> None:
-        """Persist one solved cell, atomically (see :func:`atomic_write_json`).
+    def store(self, design: MixerDesign, mode: MixerMode, value,
+              plan=None) -> None:
+        """Persist one evaluated cell atomically (see :func:`atomic_write_json`).
 
         Concurrent shards or server threads never observe a half-written
-        entry — at worst they race to write identical content.
+        entry — at worst they race to write identical content.  A write
+        that fails with ``OSError`` is counted in ``write_errors`` and
+        dropped: the cache is an accelerator, never a reason to fail.
         """
-        if intermediates.mode is not mode:
-            raise ValueError(
-                f"intermediates are for mode {intermediates.mode.value!r}, "
-                f"not {mode.value!r}")
-        fingerprint = design.fingerprint()
-        atomic_write_json(self._path(fingerprint, mode), {
-            "cache_version": CACHE_VERSION,
-            "design_fingerprint": fingerprint,
-            "intermediates": intermediates.to_dict(),
-        })
+        payload = self.codec.encode(value, mode, plan)
+        path, identity = self._entry(design, mode, plan)
+        try:
+            atomic_write_json(path, {"identity": identity, "payload": payload})
+        except OSError:
+            self.write_errors += 1
+            return
         self.stores += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SpecCache({str(self.directory)!r}, hits={self.hits}, "
-                f"misses={self.misses}, stores={self.stores})")
+        return (f"{type(self).__name__}({str(self.directory)!r}, "
+                f"hits={self.hits}, misses={self.misses}, "
+                f"stores={self.stores})")
 
 
-def resolve_cache(cache) -> SpecCache | None:
-    """Normalise a user-facing ``cache=`` option into a cache (or ``None``).
+class _SpecCodec:
+    """:class:`SpecIntermediates` of the cell's own mode, as a dict."""
+
+    @staticmethod
+    def encode(value: SpecIntermediates, mode: MixerMode, plan) -> dict:
+        if value.mode is not mode:
+            raise ValueError(f"intermediates are for mode "
+                             f"{value.mode.value!r}, not {mode.value!r}")
+        return value.to_dict()
+
+    @staticmethod
+    def decode(data, mode: MixerMode, plan) -> SpecIntermediates:
+        value = SpecIntermediates.from_dict(data)
+        if value.mode is not mode:
+            raise ValueError("cached mode mismatch")
+        return value
+
+
+@dataclass(frozen=True)
+class MeasuresCodec:
+    """One 1-D float array per ``plan.measures`` name.
+
+    Every array runs along the plan's swept axis, whose values are the plan
+    attribute named ``axis`` (input powers, ADC bit widths...).
+    """
+
+    axis: str
+
+    def encode(self, value: dict, mode: MixerMode, plan) -> dict:
+        missing = sorted(set(plan.measures) - set(value))
+        if missing:
+            raise ValueError(f"measures are missing {missing}")
+        return {name: np.asarray(value[name], dtype=float).tolist()
+                for name in plan.measures}
+
+    def decode(self, data, mode: MixerMode, plan) -> dict[str, np.ndarray]:
+        shape = (len(getattr(plan, self.axis)),)
+        measures = {}
+        for name in plan.measures:
+            values = np.asarray(data[name], dtype=float)
+            if values.shape != shape:
+                raise ValueError(f"measure {name!r} has the wrong length")
+            measures[name] = values
+        return measures
+
+
+class SpecCache(CellCache):
+    """The spec engine's cells: solved :class:`SpecIntermediates` records."""
+
+    namespace = "spec"
+    version = 3
+    codec = _SpecCodec()
+    # Each cache class owns its load/store so per-engine instrumentation
+    # can wrap one namespace without touching the others.
+    load = CellCache.load
+    store = CellCache.store
+
+
+def resolve_cache(cache, kind: type[CellCache] = SpecCache
+                  ) -> CellCache | None:
+    """Normalise a user-facing ``cache=`` option into a ``kind`` cache.
 
     Accepted values: ``None``/``False`` (caching off — the default
     everywhere), ``True`` (cache under :func:`default_cache_dir`), a
-    string/``Path`` (cache under that directory), or an existing
-    :class:`SpecCache` (used as-is).  Whatever the caller asked for,
+    string/``Path`` (cache under that directory), an instance of ``kind``
+    (used as-is), or any other :class:`CellCache` — the entry points take
+    **one** ``cache=`` option for every engine, so another engine's cache
+    lends its directory.  Whatever the caller asked for,
     ``REPRO_SWEEP_CACHE=off`` in the environment wins and disables caching.
     """
     if cache is None or cache is False:
         return None
-    if cache_disabled_by_env():
+    if os.environ.get(DISABLE_ENV, "").strip().lower() in _DISABLE_VALUES:
         return None
-    if isinstance(cache, SpecCache):
+    if isinstance(cache, kind):
         return cache
+    if isinstance(cache, CellCache):
+        return kind(cache.directory)
     if cache is True:
-        return SpecCache(default_cache_dir())
+        return kind(default_cache_dir())
     if isinstance(cache, (str, Path)):
-        return SpecCache(cache)
+        return kind(cache)
     raise TypeError(
-        "cache must be None/False, True, a directory path, or a SpecCache; "
+        "cache must be None/False, True, a directory path, or a CellCache; "
         f"got {type(cache).__name__}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.config import MixerDesign, MixerMode
 from repro.sweep.cache import SpecCache
-from repro.sweep.parallel import make_runner
+from repro.sweep.parallel import ParallelSweepRunner
 from repro.sweep.result import SweepResult
 from repro.sweep.runner import DEFAULT_SPECS
 
@@ -159,8 +159,7 @@ def run_monte_carlo(design: MixerDesign | None = None,
                     modes: Sequence[MixerMode] | None = None,
                     specs: Sequence[str] = DEFAULT_SPECS,
                     workers: int | None = None,
-                    cache: SpecCache | str | bool | None = None,
-                    shared_memory: bool = False
+                    cache: SpecCache | str | bool | None = None
                     ) -> MonteCarloResult:
     """Sample ``num_samples`` perturbed designs and sweep their specs.
 
@@ -173,9 +172,7 @@ def run_monte_carlo(design: MixerDesign | None = None,
     result is bit-identical to the single-process run for the same seed.
     ``cache`` persists each sample's sizing/bias solution on disk
     (:mod:`repro.sweep.cache`), so re-running the same seed — or any grid
-    containing previously solved samples — skips the bisections entirely.
-    ``shared_memory`` opts a sharded run into the shared-memory hand-off
-    (see :class:`~repro.sweep.parallel.ParallelSweepRunner`).
+    containing previously solved samples — skips the sizing solves entirely.
     """
     if num_samples < 2:
         raise ValueError("a Monte-Carlo run needs at least 2 samples")
@@ -186,8 +183,8 @@ def run_monte_carlo(design: MixerDesign | None = None,
     for index in range(num_samples):
         label = _SAMPLE_LABEL.format(index=index)
         designs[label] = sample_design(design, rng, spread, label)
-    runner = make_runner(design, specs=specs, workers=workers, cache=cache,
-                         shared_memory=shared_memory)
+    runner = ParallelSweepRunner.for_workers(design, specs=specs,
+                                             workers=workers, cache=cache)
     sweep = runner.run(modes=modes, designs=designs)
     return MonteCarloResult(sweep=sweep, num_samples=num_samples, seed=seed,
                             spread=spread)

@@ -72,7 +72,7 @@ class SweepRunner:
         Optional on-disk cache of solved per-(design, mode) intermediates —
         ``None``/``False`` (default, off), ``True`` (default directory), a
         directory path, or a :class:`~repro.sweep.cache.SpecCache`.  With a
-        warm cache every sizing/bias bisection is skipped; see
+        warm cache every sizing/bias solve is skipped; see
         :mod:`repro.sweep.cache`.
     """
 
@@ -110,15 +110,6 @@ class SweepRunner:
         """How many design records currently have a memoized mixer."""
         return len(self._mixers)
 
-    # -- grid assembly -------------------------------------------------------
-
-    def _design_axis(self, designs) -> tuple[SweepAxis, list[MixerDesign]]:
-        # Shared with the waveform engine; see SweepAxis.design_axis.
-        return SweepAxis.design_axis(designs, self.design)
-
-    def _mode_axis(self, modes) -> tuple[SweepAxis, list[MixerMode]]:
-        return SweepAxis.mode_axis(modes)
-
     # -- execution -----------------------------------------------------------
 
     def run(self, rf_frequencies: Iterable[float] | np.ndarray | None = None,
@@ -137,8 +128,9 @@ class SweepRunner:
         explicit grids covering its operating point rather than relying on
         the defaults.
         """
-        design_axis, design_records = self._design_axis(designs)
-        mode_axis, mode_members = self._mode_axis(modes)
+        design_axis, design_records = SweepAxis.design_axis(designs,
+                                                            self.design)
+        mode_axis, mode_members = SweepAxis.mode_axis(modes)
         rf_axis = SweepAxis.numeric(
             RF_AXIS, rf_frequencies if rf_frequencies is not None
             else [self.design.rf_frequency])
@@ -176,7 +168,7 @@ class SweepRunner:
 
         One :func:`~repro.core.transconductance.solve_widths` call sizes the
         whole unsolved block of the design axis before the cell loop runs —
-        the N x 80 scalar bisection steps collapse into 80 array steps.  A
+        one call for the block instead of one lazy solve per cell.  A
         design only joins the block when at least one of its modes is served
         by neither the mixer memo nor the disk cache (cache hits seed the
         memo here, so a warm run still performs zero solves); the solved
@@ -223,7 +215,7 @@ class SweepRunner:
 
         Without a cache this is plain ``mixer.spec_intermediates()``.  With
         one, a hit seeds the mixer's in-memory memo — so the vectorized
-        accessors below never trigger a sizing bisection — and a miss stores
+        accessors below never trigger a sizing solve — and a miss stores
         the freshly solved cell for every later run and every sibling shard.
         The memo is consulted first (the pre-sizing pass already seeded it
         from the cache where possible), so each cell costs at most one disk

@@ -17,12 +17,13 @@ analytic specs already ride (:mod:`repro.sweep`):
 * :mod:`repro.waveform.result` — :class:`WaveformResult`, a
   :class:`~repro.sweep.result.SweepResult` subclass (same axes selection,
   ``concat`` stitch and exact ``to_dict``/``from_dict`` round-trip);
-* :mod:`repro.waveform.cache` — :class:`WaveformCache`, the
-  content-addressed on-disk store keyed on ``MixerDesign.fingerprint()`` +
-  mode + plan hash: warm re-runs perform zero FFT evaluations;
-* :mod:`repro.waveform.parallel` — :class:`ParallelWaveformRunner` and
-  :func:`make_waveform_runner`, sharding the design axis across processes
-  with bit-identical stitched results.
+* :mod:`repro.waveform.cache` — :class:`WaveformCache`, the waveform
+  namespace of the shared cell cache, keyed on
+  ``MixerDesign.fingerprint()`` + mode + plan hash: warm re-runs perform
+  zero FFT evaluations;
+* :mod:`repro.waveform.parallel` — :class:`ParallelWaveformRunner`,
+  sharding the design axis across processes with bit-identical stitched
+  results.
 
 The scalar benches in :mod:`repro.rf.twotone` and
 :mod:`repro.rf.compression` are thin wrappers over :func:`evaluate_plan`,
@@ -31,19 +32,14 @@ populations through :class:`WaveformRunner` — so waveform linearity is as
 cheap, cacheable and servable as gain or NF.
 """
 
-from repro.waveform.cache import (
-    WAVEFORM_CACHE_VERSION,
-    WaveformCache,
-    default_waveform_cache_dir,
-    resolve_waveform_cache,
-)
+from repro.waveform.cache import WaveformCache
 from repro.waveform.engine import (
     WaveformRunner,
     device_output,
     evaluate_plan,
     waveform_fft_count,
 )
-from repro.waveform.parallel import ParallelWaveformRunner, make_waveform_runner
+from repro.waveform.parallel import ParallelWaveformRunner
 from repro.waveform.plan import (
     DEFAULT_NUM_SAMPLES,
     DEFAULT_SAMPLE_RATE,
@@ -66,15 +62,11 @@ __all__ = [
     "TWO_TONE",
     "StimulusPlan",
     "ParallelWaveformRunner",
-    "WAVEFORM_CACHE_VERSION",
     "WaveformCache",
     "WaveformResult",
     "WaveformRunner",
-    "default_waveform_cache_dir",
     "device_output",
     "evaluate_plan",
-    "make_waveform_runner",
-    "resolve_waveform_cache",
     "single_tone_plan",
     "two_tone_plan",
     "waveform_fft_count",

@@ -41,9 +41,10 @@ from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import ReconfigurableMixer
 from repro.core.transconductance import solve_widths
 from repro.rf.signal import WaveformTransfer
+from repro.sweep.cache import resolve_cache
 from repro.sweep.grid import POWER_AXIS, SweepAxis
 from repro.units import dbm_from_vpeak, vpeak_from_dbm
-from repro.waveform.cache import resolve_waveform_cache
+from repro.waveform.cache import WaveformCache
 from repro.waveform.plan import TWO_TONE, StimulusPlan
 from repro.waveform.result import WaveformResult
 
@@ -202,15 +203,15 @@ class WaveformRunner:
     cache:
         Optional on-disk cache of evaluated measures — ``None``/``False``
         (default, off), ``True`` (default directory), a directory path, a
-        :class:`~repro.waveform.cache.WaveformCache`, or a
-        :class:`~repro.sweep.cache.SpecCache` (its directory is shared).
+        :class:`~repro.waveform.cache.WaveformCache`, or another engine's
+        :class:`~repro.sweep.cache.CellCache` (its directory is shared).
         With a warm cache a run performs zero FFT evaluations.
     """
 
     def __init__(self, design: MixerDesign | None = None,
                  cache=None) -> None:
         self.design = design if design is not None else MixerDesign()
-        self.cache = resolve_waveform_cache(cache)
+        self.cache = resolve_cache(cache, WaveformCache)
         # Mixers are memoized per design record across run() calls, exactly
         # like the sweep engine — re-running a refined power grid re-uses
         # every sizing/bias solution already paid for.  Stimulus blocks are
@@ -279,7 +280,7 @@ class WaveformRunner:
 
         Public face of the pre-sizing pass for engines layered on top of
         the tap (the digital runner): call once with every pending design
-        so a population's width bisections run as one
+        so a population's width solves run as one
         :func:`~repro.core.transconductance.solve_widths` block.  Returns
         the number of designs batch-sized (0 below the batch threshold —
         the lazy per-cell path then solves them identically).
@@ -351,7 +352,7 @@ class WaveformRunner:
 
         The waveform twin of :meth:`SweepRunner._presize`: one
         :func:`~repro.core.transconductance.solve_widths` call replaces the
-        N x 80 scalar bisections the lazy per-cell path would have run, and
+        N scalar solves the lazy per-cell path would have run, and
         the solved widths are bit-identical, so measures are unchanged.
         Returns the number of designs batch-sized.
         """
@@ -392,5 +393,5 @@ class WaveformRunner:
             assume_periodic=True)
         measures = evaluate_plan(device, plan, block=block)
         if self.cache is not None:
-            self.cache.store(record, mixer.mode, plan, measures)
+            self.cache.store(record, mixer.mode, measures, plan)
         return measures

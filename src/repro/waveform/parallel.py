@@ -1,151 +1,34 @@
 """Parallel waveform benches: shard the design axis across processes.
 
-Waveform cells are embarrassingly parallel across the design axis, exactly
-like the analytic sweep cells: no (design, mode) evaluation reads another's
-state.  :class:`ParallelWaveformRunner` applies the
-:class:`~repro.sweep.parallel.ParallelSweepRunner` machinery to the
-waveform engine — contiguous design-axis slices, each run by an ordinary
-:class:`~repro.waveform.engine.WaveformRunner` in a
-``concurrent.futures.ProcessPoolExecutor`` worker, stitched back together
-with the inherited :meth:`SweepResult.concat` along the design axis.  The
-power axis is deliberately *not* sharded: the whole point of the batched
-engine is that the power sweep is one stacked evaluation; the wall-clock
-cost lives in the per-design device models.
-
-Determinism: every cell runs exactly the same code path as the inline
-runner, so the stitched result is **bit-identical** to
-:meth:`WaveformRunner.run` on the same grid for any worker count.  Shards
-share one on-disk :class:`~repro.waveform.cache.WaveformCache` directory,
-so any cell one shard (or a previous run) evaluated is a pure read for
-every other.
+:class:`ParallelWaveformRunner` is the waveform engine's flavour of
+:class:`~repro.sweep.parallel.ShardedRunner`: contiguous design-axis
+slices, each run by an ordinary :class:`~repro.waveform.engine.WaveformRunner`
+in a worker process, stitched back with :meth:`WaveformResult.concat`.  The
+power axis is deliberately *not* sharded — the batched engine evaluates the
+whole power sweep as one stacked block per cell.  The stitched result is
+**bit-identical** to :meth:`WaveformRunner.run` for any worker count.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.api.progress import report_progress
-from repro.core.config import MixerDesign, MixerMode
-from repro.sweep.grid import DESIGN_AXIS, SweepAxis
-from repro.sweep.parallel import executor_for
-from repro.waveform.cache import WaveformCache, resolve_waveform_cache
+from repro.api.progress import report_progress  # noqa: F401 - servebench rebinds it
+from repro.sweep.parallel import ShardedRunner
 from repro.waveform.engine import WaveformRunner
 from repro.waveform.plan import StimulusPlan
 from repro.waveform.result import WaveformResult
 
 
-@dataclass(frozen=True)
-class _WaveformShardTask:
-    """Everything one worker needs to run its slice of the design axis.
+class ParallelWaveformRunner(ShardedRunner):
+    """Drop-in :class:`WaveformRunner` sharding the design axis over processes."""
 
-    Plans are frozen records of plain floats and designs are frozen
-    dataclasses, so the task crosses the process boundary cheaply under any
-    start method.
-    """
+    engine = WaveformRunner
+    stage = "waveform"
 
-    plan: StimulusPlan
-    labels: tuple[str, ...]
-    records: tuple[MixerDesign, ...]
-    modes: tuple[MixerMode, ...]
-    cache_dir: str | None
-
-
-def _run_waveform_shard(task: _WaveformShardTask) -> WaveformResult:
-    """Worker entry point: one WaveformRunner over one design-axis slice."""
-    cache = WaveformCache(task.cache_dir) if task.cache_dir is not None \
-        else None
-    runner = WaveformRunner(task.records[0], cache=cache)
-    return runner.run(task.plan, modes=task.modes,
-                      designs=dict(zip(task.labels, task.records)))
-
-
-class ParallelWaveformRunner:
-    """Drop-in :class:`WaveformRunner` sharding the design axis over processes.
-
-    Parameters mirror :class:`~repro.sweep.parallel.ParallelSweepRunner`:
-    ``workers=None`` means ``os.cpu_count()``; with one worker — or a design
-    axis too short to shard — the bench runs inline, no pool spawned.
-    """
-
-    def __init__(self, design: MixerDesign | None = None,
-                 workers: int | None = None, cache=None) -> None:
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
-        self.workers = int(workers) if workers is not None \
-            else (os.cpu_count() or 1)
-        self.cache = resolve_waveform_cache(cache)
-        # The inline runner owns the design-axis labelling rules and the
-        # single-process fallback, so both paths stay identical.
-        self._inline = WaveformRunner(design, cache=self.cache)
-
-    @property
-    def design(self) -> MixerDesign:
-        """The baseline design record."""
-        return self._inline.design
-
-    def run(self, plan: StimulusPlan,
-            modes=None, designs=None) -> WaveformResult:
+    def run(self, plan: StimulusPlan, modes=None,
+            designs=None) -> WaveformResult:
         """Evaluate ``plan`` over the grid, sharded along the design axis.
 
         Accepts exactly the arguments of :meth:`WaveformRunner.run` and
-        returns a bit-identical :class:`WaveformResult` for any worker
-        count.
+        returns a bit-identical :class:`WaveformResult`.
         """
-        if not isinstance(plan, StimulusPlan):
-            raise TypeError("run() needs a StimulusPlan")
-        design_axis, records = SweepAxis.design_axis(designs,
-                                                     self._inline.design)
-        _, members = SweepAxis.mode_axis(modes)
-
-        shard_count = min(self.workers, len(records))
-        if shard_count <= 1:
-            return self._inline.run(plan, modes=members,
-                                    designs=dict(zip(design_axis.values,
-                                                     records)))
-
-        labels = design_axis.values
-        cache_dir = str(self.cache.directory) if self.cache is not None \
-            else None
-        tasks = []
-        for bounds in np.array_split(np.arange(len(records)), shard_count):
-            start, stop = int(bounds[0]), int(bounds[-1]) + 1
-            tasks.append(_WaveformShardTask(
-                plan=plan,
-                labels=tuple(labels[start:stop]),
-                records=tuple(records[start:stop]),
-                modes=tuple(members),
-                cache_dir=cache_dir,
-            ))
-        shards: list[WaveformResult] = []
-        designs_done = 0
-        # Pools come from the shared sweep-layer registry when reuse is on
-        # (the serving layer's configuration), else one private pool as
-        # before; completed shards stream as job progress either way.
-        with executor_for(shard_count) as pool:
-            for task, shard in zip(tasks,
-                                   pool.map(_run_waveform_shard, tasks)):
-                shards.append(shard)
-                designs_done += len(task.labels)
-                report_progress(stage="waveform", shards_done=len(shards),
-                                shards_total=len(tasks),
-                                designs_done=designs_done,
-                                designs_total=len(records))
-        return WaveformResult.concat(shards, axis=DESIGN_AXIS)
-
-
-def make_waveform_runner(design: MixerDesign | None = None,
-                         workers: int | None = None, cache=None
-                         ) -> WaveformRunner | ParallelWaveformRunner:
-    """The runner a waveform entry point should use for its options.
-
-    Mirrors :func:`repro.sweep.make_runner`: ``workers=None`` or ``1`` keeps
-    the plain single-process :class:`WaveformRunner`; anything higher
-    returns a :class:`ParallelWaveformRunner`.  ``cache`` is honoured by
-    both.
-    """
-    if workers is None or workers == 1:
-        return WaveformRunner(design, cache=cache)
-    return ParallelWaveformRunner(design, workers=workers, cache=cache)
+        return self._run_sharded(modes, designs, plan)

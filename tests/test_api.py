@@ -13,7 +13,9 @@ The load-bearing guarantees, straight from the acceptance bar:
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -206,6 +208,20 @@ class TestResponseCache:
         assert fresh.response_cache.corrupt == 1
         rewritten = json.loads(path.read_text(encoding="utf-8"))
         assert rewritten["response_cache_version"] == RESPONSE_CACHE_VERSION
+
+    def test_failed_disk_write_is_counted_not_raised(self, tmp_path,
+                                                     monkeypatch):
+        def full_disk(source, target):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        request = small_request("table1")
+        uncached = MixerService(response_cache=False).submit(request)
+        monkeypatch.setattr(os, "replace", full_disk)
+        service = MixerService(response_cache=str(tmp_path))
+        response = service.submit(request)
+        assert response.to_dict()["result"] == uncached.to_dict()["result"]
+        assert list(tmp_path.iterdir()) == []  # no .tmp- file left behind
+        assert service.response_cache.write_errors == 1
 
     def test_response_cache_off(self):
         service = MixerService(response_cache=False)

@@ -24,14 +24,11 @@ import pytest
 from repro.core.config import MixerMode
 from repro.digital import (
     BITS_AXIS,
-    DigitalIfCache,
     DigitalIfRunner,
     DigitalResult,
     ParallelDigitalRunner,
     digital_if_plan,
     digital_pass_count,
-    make_digital_runner,
-    resolve_digital_cache,
 )
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
@@ -159,38 +156,6 @@ class TestDigitalCache:
         runner.run(plan.with_adc_bits((6, 10)), modes=[MixerMode.ACTIVE])
         assert digital_pass_count() == before + 1
 
-    def test_corrupt_entry_degrades_to_recompute(self, design, plan,
-                                                 tmp_path):
-        cache = DigitalIfCache(tmp_path)
-        runner = DigitalIfRunner(design, cache=cache)
-        result = runner.run(plan, modes=[MixerMode.PASSIVE])
-        entry = cache.entry_path(design, MixerMode.PASSIVE, plan)
-        entry.write_text("{not json", encoding="utf-8")
-        again = DigitalIfRunner(design, cache=cache).run(
-            plan, modes=[MixerMode.PASSIVE])
-        assert cache.corrupt == 1
-        for measure in plan.measures:
-            assert np.array_equal(result.data[measure], again.data[measure])
-        assert json.loads(entry.read_text(encoding="utf-8"))
-
-    def test_kill_switch_and_resolver(self, tmp_path, monkeypatch):
-        from repro.sweep.cache import SpecCache
-
-        resolved = resolve_digital_cache(SpecCache(tmp_path))
-        assert isinstance(resolved, DigitalIfCache)
-        assert resolved.directory == tmp_path
-        with pytest.raises(TypeError, match="cache"):
-            resolve_digital_cache(1.5)
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
-        assert resolve_digital_cache(str(tmp_path)) is None
-        assert resolve_digital_cache(True) is None
-
-    def test_store_rejects_incomplete_measures(self, design, plan, tmp_path):
-        cache = DigitalIfCache(tmp_path)
-        with pytest.raises(ValueError, match="missing"):
-            cache.store(design, MixerMode.ACTIVE, plan,
-                        {"snr_db": np.zeros(len(SMALL_BITS))})
-
 
 class TestParallelDigitalRunner:
     def test_sharded_run_is_bit_identical(self, design, plan):
@@ -209,10 +174,11 @@ class TestParallelDigitalRunner:
                                   sharded.data[measure])
 
     def test_make_runner_selection(self, design):
-        assert isinstance(make_digital_runner(design), DigitalIfRunner)
-        assert isinstance(make_digital_runner(design, workers=1),
+        assert isinstance(ParallelDigitalRunner.for_workers(design),
                           DigitalIfRunner)
-        assert isinstance(make_digital_runner(design, workers=2),
+        assert isinstance(ParallelDigitalRunner.for_workers(design, workers=1),
+                          DigitalIfRunner)
+        assert isinstance(ParallelDigitalRunner.for_workers(design, workers=2),
                           ParallelDigitalRunner)
         with pytest.raises(ValueError, match="workers"):
             ParallelDigitalRunner(design, workers=0)
@@ -269,25 +235,6 @@ class TestDigitalExperiments:
                                cache=str(tmp_path))
         assert digital_pass_count() == passes
         assert sizing_solve_count() == solves
-        for mode in (MixerMode.ACTIVE, MixerMode.PASSIVE):
-            assert np.array_equal(first.for_mode(mode).snr_db,
-                                  again.for_mode(mode).snr_db)
-
-    def test_digital_if_version_1_entries_are_recomputed(self, design,
-                                                         tmp_path,
-                                                         monkeypatch):
-        # Version 1 entries were quantized on bisection-sized devices.
-        from repro.digital import cache as digital_cache
-        from repro.experiments import run_digital_if
-
-        with monkeypatch.context() as patched:
-            patched.setattr(digital_cache, "DIGITAL_CACHE_VERSION", 1)
-            first = run_digital_if(design, adc_bits=SMALL_BITS,
-                                   cache=str(tmp_path))
-        passes = digital_pass_count()
-        again = run_digital_if(design, adc_bits=SMALL_BITS,
-                               cache=str(tmp_path))
-        assert digital_pass_count() > passes
         for mode in (MixerMode.ACTIVE, MixerMode.PASSIVE):
             assert np.array_equal(first.for_mode(mode).snr_db,
                                   again.for_mode(mode).snr_db)

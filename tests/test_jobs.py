@@ -569,6 +569,7 @@ class TestResponseCacheStats:
             "misses": 1,
             "stores": 1,
             "corrupt": 0,
+            "write_errors": 0,
             "hit_rate": 2 / 3,
         }
 

@@ -1,28 +1,29 @@
-"""Tests for the parallel sweep runner and SweepResult concatenation."""
+"""Tests for the sharded runners and SweepResult concatenation."""
 
 from __future__ import annotations
 
-import glob
-import os
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import repro.sweep.parallel as parallel_module
+from repro.api.progress import progress_scope
 from repro.core.config import MixerDesign, MixerMode
+from repro.digital import DigitalIfCache, ParallelDigitalRunner, digital_if_plan
 from repro.sweep import (
     DESIGN_AXIS,
     DeviceSpread,
     ParallelSweepRunner,
     SweepAxis,
     SweepResult,
+    ShardedRunner,
+    SpecCache,
     SweepRunner,
-    make_runner,
     run_monte_carlo,
     sample_design,
 )
-from repro.sweep.parallel import SEGMENT_PREFIX
+from repro.waveform import ParallelWaveformRunner, WaveformCache, single_tone_plan
 
 
 def _sampled_designs(design: MixerDesign, count: int,
@@ -146,6 +147,13 @@ class TestParallelSweepRunner:
         with pytest.raises(ValueError, match="one-dimensional"):
             runner.run(rf_frequencies=np.ones((2, 2)))
 
+    def test_worker_exception_propagates(self, design):
+        designs = _sampled_designs(design, 4, seed=9)
+        designs["greedy"] = replace(design, tca_gm=1.0)
+        runner = ParallelSweepRunner(design, workers=2)
+        with pytest.raises(ValueError, match="target gm unreachable"):
+            runner.run(designs=designs)
+
     def test_default_grids_match_single_process(self, design):
         designs = _sampled_designs(design, 2, seed=5)
         single = SweepRunner(design).run(designs=designs)
@@ -157,71 +165,14 @@ class TestParallelSweepRunner:
                                           single.data[spec])
 
 
-def _leaked_segments() -> list[str]:
-    """Segments this module created and failed to unlink (Linux view)."""
-    if not os.path.isdir("/dev/shm"):
-        return []
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
-
-
-class TestSharedMemoryHandOff:
-    def test_bitwise_identity_across_worker_counts(self, design):
-        """The acceptance gate: the shm transport must change no bits."""
-        designs = _sampled_designs(design, 6, seed=3)
-        rf = [1.0e9, 2.405e9]
-        single = SweepRunner(design).run(rf_frequencies=rf, designs=designs)
-        for workers in (2, 4):
-            shm = ParallelSweepRunner(design, workers=workers,
-                                      shared_memory=True).run(
-                rf_frequencies=rf, designs=designs)
-            assert shm.axis(DESIGN_AXIS).values == \
-                single.axis(DESIGN_AXIS).values
-            for spec in single.spec_names:
-                np.testing.assert_array_equal(shm.data[spec],
-                                              single.data[spec])
-        assert _leaked_segments() == []
-
-    def test_falls_back_to_pickle_when_unavailable(self, design, monkeypatch):
-        """No shared memory on the platform: same results, no error."""
-        monkeypatch.setattr(parallel_module, "_shared_memory", None)
-        designs = _sampled_designs(design, 4, seed=7)
-        single = SweepRunner(design).run(designs=designs)
-        fallback = ParallelSweepRunner(design, workers=2,
-                                       shared_memory=True).run(designs=designs)
-        for spec in single.spec_names:
-            np.testing.assert_array_equal(fallback.data[spec],
-                                          single.data[spec])
-
-    def test_worker_exception_leaks_no_segments(self, design):
-        """A shard failure must unlink both segments before propagating."""
-        designs = _sampled_designs(design, 4, seed=9)
-        designs["greedy"] = replace(design, tca_gm=1.0)
-        runner = ParallelSweepRunner(design, workers=2, shared_memory=True)
-        with pytest.raises(ValueError, match="target gm unreachable"):
-            runner.run(designs=designs)
-        assert _leaked_segments() == []
-
-    def test_monte_carlo_accepts_shared_memory(self, design):
-        baseline = run_monte_carlo(design, num_samples=4, seed=33)
-        shm = run_monte_carlo(design, num_samples=4, seed=33, workers=2,
-                              shared_memory=True)
-        for spec in baseline.sweep.spec_names:
-            np.testing.assert_array_equal(shm.sweep.data[spec],
-                                          baseline.sweep.data[spec])
-
-
-class TestMakeRunner:
+class TestForWorkers:
     def test_workers_choose_the_runner_type(self, design):
-        assert isinstance(make_runner(design), SweepRunner)
-        assert isinstance(make_runner(design, workers=1), SweepRunner)
-        parallel = make_runner(design, workers=2)
+        assert isinstance(ParallelSweepRunner.for_workers(design), SweepRunner)
+        assert isinstance(ParallelSweepRunner.for_workers(design, workers=1),
+                          SweepRunner)
+        parallel = ParallelSweepRunner.for_workers(design, workers=2)
         assert isinstance(parallel, ParallelSweepRunner)
         assert parallel.workers == 2
-
-    def test_shared_memory_flag_reaches_the_runner(self, design):
-        assert make_runner(design, workers=2).shared_memory is False
-        assert make_runner(design, workers=2,
-                           shared_memory=True).shared_memory is True
 
 
 class TestMonteCarloParallel:
@@ -235,3 +186,45 @@ class TestMonteCarloParallel:
             np.testing.assert_array_equal(
                 sharded.samples("conversion_gain_db", mode),
                 baseline.samples("conversion_gain_db", mode))
+
+
+SHARDED_RUNNERS = {"sweep": ParallelSweepRunner,
+                   "waveform": ParallelWaveformRunner,
+                   "digital": ParallelDigitalRunner}
+
+
+class TestShardedRunnerFamily:
+    """One shard loop and one cell cache behind three engine flavours."""
+
+    @pytest.mark.parametrize("runner", SHARDED_RUNNERS.values(),
+                             ids=SHARDED_RUNNERS.keys())
+    def test_each_runner_owns_its_run_and_progress_binding(self, runner):
+        # Per-layer tracing wraps each class's own ``run`` and rebinds
+        # ``report_progress`` in each parallel module.
+        assert issubclass(runner, ShardedRunner)
+        assert "run" in vars(runner)
+        assert hasattr(sys.modules[runner.__module__], "report_progress")
+
+    @pytest.mark.parametrize("kind", [SpecCache, WaveformCache, DigitalIfCache],
+                             ids=["spec", "waveform", "digital"])
+    def test_each_cache_owns_its_load_and_store(self, kind):
+        assert {"load", "store"} <= set(vars(kind))
+
+    @pytest.mark.parametrize("name", SHARDED_RUNNERS)
+    def test_shards_report_progress_under_their_stage(self, name, design,
+                                                      sample_rate,
+                                                      num_samples):
+        args = {"sweep": (),
+                "waveform": (single_tone_plan(2.405e9, (-40.0, -38.0),
+                                              sample_rate, num_samples,
+                                              lo_frequency=2.4e9),),
+                "digital": (digital_if_plan(adc_bits=(6,)),)}[name]
+        runner = SHARDED_RUNNERS[name]
+        seen: list[dict] = []
+        with progress_scope(seen.append):
+            runner(design, workers=2).run(
+                *args, modes=[MixerMode.ACTIVE],
+                designs=_sampled_designs(design, 3, seed=4))
+        assert [fields["shards_done"] for fields in seen] == [1, 2]
+        assert {fields["stage"] for fields in seen} == {runner.stage}
+        assert seen[-1]["designs_done"] == seen[-1]["designs_total"] == 3

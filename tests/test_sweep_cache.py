@@ -1,17 +1,31 @@
-"""Tests for the on-disk spec cache (fingerprints, hits, invalidation)."""
+"""Tests for the on-disk cell cache (fingerprints, hits, invalidation).
+
+:class:`TestCellCacheContract` runs one contract over all three engine
+namespaces (spec, waveform, digital); the engine-specific warm-run gates
+live beside each engine's other tests.
+"""
 
 from __future__ import annotations
 
-from dataclasses import replace
+import errno
+import json
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 import repro.sweep.cache as cache_module
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import SpecIntermediates
+from repro.core.reconfigurable_mixer import ReconfigurableMixer, SpecIntermediates
 from repro.core.transconductance import sizing_solve_count
-from repro.sweep import SpecCache, SweepRunner, resolve_cache, run_monte_carlo
+from repro.digital import DigitalIfCache, DigitalIfRunner, digital_if_plan
+from repro.sweep import (
+    SpecCache,
+    SweepRunner,
+    resolve_cache,
+    run_monte_carlo,
+)
+from repro.waveform import WaveformCache, WaveformRunner, two_tone_plan
 
 
 class TestFingerprint:
@@ -33,38 +47,9 @@ class TestFingerprint:
         assert payload["load_resistance"] == design.load_resistance
 
 
-class TestSpecCacheEntries:
-    def test_store_then_load_round_trips(self, design, tmp_path):
-        cache = SpecCache(tmp_path)
-        mode = MixerMode.PASSIVE
-        from repro.core.reconfigurable_mixer import ReconfigurableMixer
-        intermediates = ReconfigurableMixer(design, mode).spec_intermediates()
-        cache.store(design, mode, intermediates)
-        assert cache.stores == 1
-        loaded = cache.load(design, mode)
-        assert loaded == intermediates
-        assert cache.hits == 1
-
-    def test_modes_and_designs_key_separately(self, design, tmp_path):
-        cache = SpecCache(tmp_path)
-        variant = replace(design, degeneration_resistance=75.0)
-        keys = {cache.entry_key(design, MixerMode.ACTIVE),
-                cache.entry_key(design, MixerMode.PASSIVE),
-                cache.entry_key(variant, MixerMode.ACTIVE)}
-        assert len(keys) == 3
-
-    def test_store_rejects_mode_mismatch(self, design, tmp_path):
-        cache = SpecCache(tmp_path)
-        from repro.core.reconfigurable_mixer import ReconfigurableMixer
-        intermediates = ReconfigurableMixer(
-            design, MixerMode.ACTIVE).spec_intermediates()
-        with pytest.raises(ValueError, match="mode"):
-            cache.store(design, MixerMode.PASSIVE, intermediates)
-
-
 class TestRunnerIntegration:
     def test_cold_vs_warm_equality_and_no_sizing(self, design, tmp_path):
-        """The acceptance gate: a warm cache skips every sizing bisection."""
+        """The acceptance gate: a warm cache skips every sizing solve."""
         grid = dict(rf_frequencies=[1e9, 2.405e9], if_frequencies=[5e6])
         cold_runner = SweepRunner(design, cache=tmp_path)
         before = sizing_solve_count()
@@ -80,67 +65,178 @@ class TestRunnerIntegration:
         for spec in cold.spec_names:
             np.testing.assert_array_equal(warm.data[spec], cold.data[spec])
 
-    def test_version_bump_invalidates_stale_entries(self, design, tmp_path,
-                                                    monkeypatch):
-        grid = dict(rf_frequencies=[2.405e9])
-        cold = SweepRunner(design, cache=tmp_path).run(**grid)
+    def test_failed_write_is_counted_not_raised(self, design, tmp_path,
+                                                monkeypatch):
+        def full_disk(source, target):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cache_module, "CACHE_VERSION",
-                            cache_module.CACHE_VERSION + 1)
-        bumped_runner = SweepRunner(design, cache=tmp_path)
-        before = sizing_solve_count()
-        bumped = bumped_runner.run(**grid)
-        # Stale entries were not used: the cell re-solved and re-stored.
-        assert sizing_solve_count() - before > 0
-        assert bumped_runner.cache.hits == 0
-        assert bumped_runner.cache.stores == 2
-        for spec in cold.spec_names:
-            np.testing.assert_array_equal(bumped.data[spec], cold.data[spec])
-
-    def test_version_1_entries_are_recomputed(self, design, tmp_path,
-                                              monkeypatch):
-        # Version 1 entries hold bisection-sized widths; the closed-form
-        # solver's numbers differ in the last bits, so they must not serve.
-        grid = dict(rf_frequencies=[2.405e9])
-        with monkeypatch.context() as patched:
-            patched.setattr(cache_module, "CACHE_VERSION", 1)
-            SweepRunner(design, cache=tmp_path).run(**grid)
+        monkeypatch.setattr(cache_module.os, "replace", full_disk)
         runner = SweepRunner(design, cache=tmp_path)
-        before = sizing_solve_count()
-        runner.run(**grid)
-        assert sizing_solve_count() - before > 0
-        assert runner.cache.hits == 0
-        assert runner.cache.stores == 2
+        result = runner.run(modes=[MixerMode.ACTIVE])
+        uncached = SweepRunner(design).run(modes=[MixerMode.ACTIVE])
+        for spec in uncached.spec_names:
+            np.testing.assert_array_equal(result.data[spec],
+                                          uncached.data[spec])
+        assert list(tmp_path.iterdir()) == []  # no .tmp- file left behind
+        assert runner.cache.write_errors == 1
+        assert runner.cache.stores == 0
 
-    def test_corrupted_entry_falls_back_to_recompute(self, design, tmp_path):
-        runner = SweepRunner(design, cache=tmp_path)
-        cold = runner.run(modes=[MixerMode.ACTIVE])
-        entry = runner.cache.entry_path(design, MixerMode.ACTIVE)
-        entry.write_text("{not json", encoding="utf-8")
 
-        recovering = SweepRunner(design, cache=tmp_path)
-        recovered = recovering.run(modes=[MixerMode.ACTIVE])
-        assert recovering.cache.corrupt == 1
-        assert recovering.cache.stores == 1  # entry was rewritten
-        np.testing.assert_array_equal(
-            recovered.data["conversion_gain_db"],
-            cold.data["conversion_gain_db"])
+#: The mode every contract cell is evaluated in.
+MODE = MixerMode.ACTIVE
+
+
+@dataclass(frozen=True)
+class Namespace:
+    """One engine's cache flavour, its inline engine and its plan."""
+
+    kind: type
+    engine: type
+    plan: object = None
+
+    def run(self, design: MixerDesign, cache) -> dict[str, np.ndarray]:
+        args = () if self.plan is None else (self.plan,)
+        result = self.engine(design, cache=cache).run(*args, modes=[MODE])
+        return result.data
+
+
+def _assert_same(data: dict, expected: dict) -> None:
+    assert data.keys() == expected.keys()
+    for name in expected:
+        np.testing.assert_array_equal(data[name], expected[name])
+
+
+def _drop_a_payload_field(text: str) -> str:
+    entry = json.loads(text)
+    del entry["payload"][next(iter(entry["payload"]))]
+    return json.dumps(entry)
+
+
+def _another_design(text: str) -> str:
+    # An entry copied in from another design's path.
+    entry = json.loads(text)
+    entry["identity"]["design"] = "0" * 64
+    return json.dumps(entry)
+
+
+def _previous_format(text: str) -> str:
+    # The shape every namespace wrote before the shared cell cache.
+    entry = json.loads(text)
+    return json.dumps({"cache_version": 2, "waveform_cache_version": 2,
+                       "digital_cache_version": 2,
+                       "design_fingerprint": entry["identity"]["design"],
+                       "mode": entry["identity"]["mode"],
+                       "plan": entry["identity"]["plan"],
+                       "intermediates": entry["payload"],
+                       "measures": entry["payload"]})
+
+
+CORRUPTIONS = {
+    "not_json": lambda text: "{not json",
+    "not_a_mapping": lambda text: "[1, 2]",
+    "payload_field_dropped": _drop_a_payload_field,
+    "another_design": _another_design,
+    "previous_format": _previous_format,
+}
+
+
+@pytest.fixture(scope="module")
+def namespaces(sample_rate, num_samples) -> dict[str, Namespace]:
+    wave_plan = two_tone_plan(2.405e9, 2.407e9, (-45.0, -43.0, -41.0),
+                              sample_rate, num_samples, lo_frequency=2.4e9)
+    return {"spec": Namespace(SpecCache, SweepRunner),
+            "waveform": Namespace(WaveformCache, WaveformRunner, wave_plan),
+            "digital": Namespace(DigitalIfCache, DigitalIfRunner,
+                                 digital_if_plan(adc_bits=(6, 10)))}
+
+
+@pytest.fixture(params=["spec", "waveform", "digital"])
+def namespace(request, namespaces) -> Namespace:
+    return namespaces[request.param]
+
+
+class TestCellCacheContract:
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(),
+                             ids=CORRUPTIONS.keys())
+    def test_corrupt_entry_misses_and_is_rewritten(self, namespace, design,
+                                                   tmp_path, corrupt):
+        cold = namespace.run(design, tmp_path)
+        path = namespace.kind(tmp_path).entry_path(design, MODE,
+                                                   namespace.plan)
+        path.write_text(corrupt(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        cache = namespace.kind(tmp_path)
+        _assert_same(namespace.run(design, cache), cold)
+        assert (cache.corrupt, cache.hits, cache.stores) == (1, 0, 1)
         # The rewritten entry is healthy again.
-        assert SpecCache(tmp_path).load(design, MixerMode.ACTIVE) is not None
+        assert namespace.kind(tmp_path).load(design, MODE,
+                                             namespace.plan) is not None
 
-    def test_tampered_payload_fields_are_rejected(self, design, tmp_path):
-        cache = SpecCache(tmp_path)
-        from repro.core.reconfigurable_mixer import ReconfigurableMixer
-        intermediates = ReconfigurableMixer(
-            design, MixerMode.ACTIVE).spec_intermediates()
-        cache.store(design, MixerMode.ACTIVE, intermediates)
-        path = cache.entry_path(design, MixerMode.ACTIVE)
-        path.write_text(
-            path.read_text(encoding="utf-8").replace(
-                '"power_mw"', '"renamed_field"'),
-            encoding="utf-8")
-        assert cache.load(design, MixerMode.ACTIVE) is None
-        assert cache.corrupt == 1
+    def test_version_bump_misses(self, namespace, design, tmp_path,
+                                 monkeypatch):
+        cold = namespace.run(design, tmp_path)
+        monkeypatch.setattr(namespace.kind, "version",
+                            namespace.kind.version + 1)
+        cache = namespace.kind(tmp_path)
+        _assert_same(namespace.run(design, cache), cold)
+        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+
+    def test_store_rejects_a_value_for_another_cell(self, namespace, design,
+                                                    tmp_path):
+        if namespace.plan is None:
+            wrong, match = ReconfigurableMixer(
+                design, MixerMode.PASSIVE).spec_intermediates(), "mode"
+        else:
+            wrong, match = {}, "missing"
+        cache = namespace.kind(tmp_path)
+        with pytest.raises(ValueError, match=match):
+            cache.store(design, MODE, wrong, namespace.plan)
+        assert cache.stores == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_resolve_accepts_every_form(self, namespace, namespaces,
+                                        tmp_path, monkeypatch):
+        kind = namespace.kind
+        assert resolve_cache(None, kind) is None
+        assert resolve_cache(False, kind) is None
+        own = kind(tmp_path)
+        assert resolve_cache(own, kind) is own
+        for other in namespaces.values():
+            adopted = resolve_cache(other.kind(tmp_path), kind)
+            assert type(adopted) is kind
+            assert adopted.directory == tmp_path
+        assert resolve_cache(str(tmp_path), kind).directory == tmp_path
+        assert resolve_cache(tmp_path, kind).directory == tmp_path
+        monkeypatch.setenv(cache_module.DIRECTORY_ENV, str(tmp_path / "d"))
+        assert resolve_cache(True, kind).directory == tmp_path / "d"
+        with pytest.raises(TypeError, match="cache"):
+            resolve_cache(1.5, kind)
+
+        monkeypatch.setenv(cache_module.DISABLE_ENV, "on")
+        assert resolve_cache(True, kind) is not None
+        monkeypatch.setenv(cache_module.DISABLE_ENV, "off")
+        assert resolve_cache(True, kind) is None
+        assert resolve_cache(str(tmp_path), kind) is None
+        assert namespace.engine(cache=str(tmp_path)).cache is None
+
+    def test_namespaces_share_one_directory(self, namespaces, design,
+                                            tmp_path, monkeypatch):
+        cold = {name: ns.run(design, tmp_path)
+                for name, ns in namespaces.items()}
+        assert len(list(tmp_path.iterdir())) == 3
+        variant = replace(design, degeneration_resistance=75.0)
+        paths = {ns.kind(tmp_path).entry_path(record, mode, ns.plan)
+                 for ns in namespaces.values()
+                 for record in (design, variant) for mode in MixerMode}
+        assert len(paths) == 3 * 2 * len(MixerMode)
+        for bumped, bumped_ns in namespaces.items():
+            with monkeypatch.context() as patched:
+                patched.setattr(bumped_ns.kind, "version",
+                                bumped_ns.kind.version + 1)
+                for name, ns in namespaces.items():
+                    cache = ns.kind(tmp_path)
+                    _assert_same(ns.run(design, cache), cold[name])
+                    assert cache.hits == (0 if name == bumped else 1)
 
 
 class TestSpecIntermediatesSerialization:
@@ -159,35 +255,6 @@ class TestSpecIntermediatesSerialization:
             SpecIntermediates.from_dict(bad)
         with pytest.raises(ValueError):
             SpecIntermediates.from_dict(dict(payload, mode="triode"))
-
-
-class TestResolveCacheAndEnvSwitch:
-    def test_resolve_cache_forms(self, tmp_path):
-        assert resolve_cache(None) is None
-        assert resolve_cache(False) is None
-        cache = SpecCache(tmp_path)
-        assert resolve_cache(cache) is cache
-        assert resolve_cache(str(tmp_path)).directory == tmp_path
-        assert resolve_cache(tmp_path).directory == tmp_path
-        with pytest.raises(TypeError):
-            resolve_cache(42)
-
-    def test_true_uses_default_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache_module.DIRECTORY_ENV, str(tmp_path / "d"))
-        resolved = resolve_cache(True)
-        assert resolved is not None
-        assert resolved.directory == tmp_path / "d"
-
-    def test_env_switch_force_disables(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cache_module.DISABLE_ENV, "off")
-        assert resolve_cache(True) is None
-        assert resolve_cache(str(tmp_path)) is None
-        runner = SweepRunner(cache=str(tmp_path))
-        assert runner.cache is None
-
-    def test_env_switch_ignores_other_values(self, monkeypatch):
-        monkeypatch.setenv(cache_module.DISABLE_ENV, "on")
-        assert not cache_module.cache_disabled_by_env()
 
 
 class TestMonteCarloCache:

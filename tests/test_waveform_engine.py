@@ -32,12 +32,9 @@ from repro.sweep.montecarlo import DeviceSpread, sample_design
 from repro.waveform import (
     POWER_AXIS,
     StimulusPlan,
-    WaveformCache,
     WaveformResult,
     WaveformRunner,
     evaluate_plan,
-    make_waveform_runner,
-    resolve_waveform_cache,
     single_tone_plan,
     two_tone_plan,
     waveform_fft_count,
@@ -241,41 +238,6 @@ class TestWaveformCache:
         runner.run(plan.with_powers(FIG10_POWERS[:4]))
         assert waveform_fft_count() == before + 2
 
-    def test_corrupt_entry_degrades_to_recompute(self, design, plan,
-                                                 tmp_path):
-        cache = WaveformCache(tmp_path)
-        runner = WaveformRunner(design, cache=cache)
-        result = runner.run(plan, modes=[MixerMode.PASSIVE])
-        entry = cache.entry_path(design, MixerMode.PASSIVE, plan)
-        entry.write_text("{not json", encoding="utf-8")
-        again = WaveformRunner(design, cache=cache).run(
-            plan, modes=[MixerMode.PASSIVE])
-        assert cache.corrupt == 1
-        for measure in plan.measures:
-            assert np.array_equal(result.data[measure], again.data[measure])
-        # The recompute replaced the bad entry.
-        assert json.loads(entry.read_text(encoding="utf-8"))
-
-    def test_kill_switch_disables_caching(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
-        assert resolve_waveform_cache(str(tmp_path)) is None
-        assert resolve_waveform_cache(True) is None
-
-    def test_resolver_adopts_spec_cache_directory(self, tmp_path):
-        from repro.sweep.cache import SpecCache
-
-        resolved = resolve_waveform_cache(SpecCache(tmp_path))
-        assert isinstance(resolved, WaveformCache)
-        assert resolved.directory == tmp_path
-        with pytest.raises(TypeError, match="cache"):
-            resolve_waveform_cache(1.5)
-
-    def test_store_rejects_incomplete_measures(self, design, plan, tmp_path):
-        cache = WaveformCache(tmp_path)
-        with pytest.raises(ValueError, match="missing"):
-            cache.store(design, MixerMode.ACTIVE, plan,
-                        {"fundamental_dbm": np.zeros(5)})
-
 
 class TestParallelWaveformRunner:
     @pytest.fixture(scope="class")
@@ -308,10 +270,11 @@ class TestParallelWaveformRunner:
         assert result.shape == (1, 1, 4)
 
     def test_make_runner_selection(self, design):
-        assert isinstance(make_waveform_runner(design), WaveformRunner)
-        assert isinstance(make_waveform_runner(design, workers=1),
+        assert isinstance(ParallelWaveformRunner.for_workers(design),
                           WaveformRunner)
-        assert isinstance(make_waveform_runner(design, workers=2),
+        assert isinstance(ParallelWaveformRunner.for_workers(design, workers=1),
+                          WaveformRunner)
+        assert isinstance(ParallelWaveformRunner.for_workers(design, workers=2),
                           ParallelWaveformRunner)
         with pytest.raises(ValueError, match="workers"):
             ParallelWaveformRunner(design, workers=0)
@@ -394,23 +357,6 @@ class TestBatchAdapters:
         assert sizing_solve_count() == solves
         assert again.passive.iip3_dbm == first.passive.iip3_dbm
         assert again.active.analytic_iip3_dbm == first.active.analytic_iip3_dbm
-
-
-    def test_fig10_version_1_entries_are_recomputed(self, design, tmp_path,
-                                                    monkeypatch):
-        # Version 1 entries were measured on bisection-sized devices.
-        from repro.experiments import run_fig10
-        from repro.waveform import cache as waveform_cache
-
-        with monkeypatch.context() as patched:
-            patched.setattr(waveform_cache, "WAVEFORM_CACHE_VERSION", 1)
-            first = run_fig10(design, input_powers_dbm=self.SMALL_POWERS,
-                              cache=str(tmp_path))
-        ffts = waveform_fft_count()
-        again = run_fig10(design, input_powers_dbm=self.SMALL_POWERS,
-                          cache=str(tmp_path))
-        assert waveform_fft_count() > ffts
-        assert again.passive.iip3_dbm == first.passive.iip3_dbm
 
 
 class TestNonFiniteWireFormat:
