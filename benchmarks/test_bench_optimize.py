@@ -9,8 +9,8 @@ The acceptance gates of the yield-search work:
   **zero sizing bisections** (asserted via
   :func:`~repro.core.transconductance.sizing_solve_count`) and returns the
   bit-identical result — iterations are pure array maths;
-* given real timing (not smoke mode), the warm re-run lands >= 1.5x under
-  the cold run.
+* given real timing (``-m timing``, not smoke mode), the warm re-run lands
+  >= 1.5x under the cold run.
 
 The multi-objective mode carries the same gates: the Pareto front (design
 fingerprints, objective vectors, order) must be bit-identical across
@@ -19,7 +19,8 @@ strategy must reach a fixed target yield in fewer generations than the
 shrinking-span baseline on a benched stretch scenario.
 
 The equality and zero-bisection assertions always run; the wall-clock gate
-is skipped in smoke mode (``--benchmark-disable``, the CI configuration).
+carries the ``timing`` marker (deselected by default) and is skipped in
+smoke mode (``--benchmark-disable``, the CI configuration).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 from conftest import record_comparison
 
 from repro.api import encode
@@ -62,20 +64,15 @@ def test_bench_optimize_worker_equality() -> None:
                       "identical", "identical")
 
 
-def test_bench_optimize_warm_cache_zero_bisections(tmp_path,
-                                                   request) -> None:
+def test_bench_optimize_warm_cache_zero_bisections(tmp_path) -> None:
     """Warm-cache gate: a repeated search solves no device sizings at all."""
     before = sizing_solve_count()
-    start = time.perf_counter()
     cold = run_yield_opt(cache=str(tmp_path), **SEARCH)
-    cold_time = time.perf_counter() - start
     cold_solves = sizing_solve_count() - before
     assert cold_solves > 0
 
     before = sizing_solve_count()
-    start = time.perf_counter()
     warm = run_yield_opt(cache=str(tmp_path), **SEARCH)
-    warm_time = time.perf_counter() - start
     warm_solves = sizing_solve_count() - before
 
     # The headline guarantee: iterations are array maths once the cache
@@ -85,8 +82,18 @@ def test_bench_optimize_warm_cache_zero_bisections(tmp_path,
     record_comparison("yield_opt", "warm-search sizing bisections",
                       "0", str(warm_solves))
 
+
+@pytest.mark.timing
+def test_bench_optimize_warm_cache_speedup(tmp_path, request) -> None:
+    """The warm re-run of a cached search lands >= 1.5x under the cold run."""
     if _smoke_mode(request):
-        return  # timing below is meaningless under smoke settings
+        pytest.skip("timing gate skipped in benchmark smoke mode")
+    start = time.perf_counter()
+    run_yield_opt(cache=str(tmp_path), **SEARCH)
+    cold_time = time.perf_counter() - start
+    start = time.perf_counter()
+    run_yield_opt(cache=str(tmp_path), **SEARCH)
+    warm_time = time.perf_counter() - start
     speedup = cold_time / warm_time
     record_comparison("yield_opt", "warm/cold search speedup",
                       ">= 1.5x", f"{speedup:.1f}x")

@@ -209,10 +209,20 @@ class MixerDesign:
         interpreter runs (string hashing is salted per process), so it can
         key on-disk artefacts such as the sweep engine's spec cache.  Any
         parameter change — including technology-corner shifts — changes it.
+
+        Memoized per instance: the record is frozen, so the hash is computed
+        once and rides along when the record is pickled.  The memo lives
+        outside the dataclass fields, so ``==``, ``hash()`` and
+        :meth:`canonical_dict` never see it, and ``dataclasses.replace``
+        builds a record that hashes afresh.
         """
-        payload = json.dumps(self.canonical_dict(), sort_keys=True,
-                             separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            payload = json.dumps(self.canonical_dict(), sort_keys=True,
+                                 separators=(",", ":"))
+            memo = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
 
     def to_dict(self) -> dict:
         """JSON-ready design payload (the API's wire format for designs).

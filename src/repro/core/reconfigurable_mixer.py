@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -43,7 +43,11 @@ from repro.core.load import TransmissionGateLoad
 from repro.core.switches import PmosSwitch
 from repro.core.switching_quad import LoDrive, SwitchingQuad
 from repro.core.tia import TransimpedanceAmplifier
-from repro.core.transconductance import TransconductanceAmplifier
+from repro.core.transconductance import (
+    TransconductanceAmplifier,
+    solve_gm_block,
+    solve_widths,
+)
 from repro.devices.mosfet import Mosfet
 from repro.rf.conversion_gain import SWITCHING_FACTOR
 from repro.rf.filters import FirstOrderLowPass
@@ -154,6 +158,9 @@ class ReconfigurableMixer:
         # Per-mode memo of the frequency-independent spec scalars; the design
         # is frozen, so entries never go stale and survive mode flips.
         self._intermediates: dict[MixerMode, SpecIntermediates] = {}
+        # The Gm bias point does not depend on the degeneration: both TCA
+        # configurations share one memo, so one bias solve serves both modes.
+        self._gm_bias_memo: dict = {}
 
     # -- mode control ---------------------------------------------------------
 
@@ -190,18 +197,25 @@ class ReconfigurableMixer:
 
     @cached_property
     def _tca_active(self) -> TransconductanceAmplifier:
-        return TransconductanceAmplifier(self.design, degeneration_resistance=0.0)
+        return TransconductanceAmplifier(
+            self.design, degeneration_resistance=0.0,
+            bias_memo=self._gm_bias_memo)
 
     @cached_property
     def _tca_passive(self) -> TransconductanceAmplifier:
         return TransconductanceAmplifier(
             self.design,
-            degeneration_resistance=self.design.degeneration_resistance)
+            degeneration_resistance=self.design.degeneration_resistance,
+            bias_memo=self._gm_bias_memo)
 
     @property
     def transconductor(self) -> TransconductanceAmplifier:
         """The Gm stage as configured for the current mode."""
-        return self._tca_active if self._mode is MixerMode.ACTIVE \
+        return self.transconductor_for(self._mode)
+
+    def transconductor_for(self, mode: MixerMode) -> TransconductanceAmplifier:
+        """The Gm stage as configured for ``mode``."""
+        return self._tca_active if mode is MixerMode.ACTIVE \
             else self._tca_passive
 
     def gm_device_sized(self) -> bool:
@@ -240,9 +254,7 @@ solve_widths` element seeds both TCA configurations with one shared
     # -- per-mode derived quantities ----------------------------------------------
 
     def _effective_gm(self, mode: MixerMode | None = None) -> float:
-        mode = mode or self._mode
-        tca = self._tca_active if mode is MixerMode.ACTIVE else self._tca_passive
-        return tca.effective_gm
+        return self.transconductor_for(mode or self._mode).effective_gm
 
     def _load_resistance(self, mode: MixerMode | None = None) -> float:
         mode = mode or self._mode
@@ -744,3 +756,50 @@ solve_widths` element seeds both TCA configurations with one shared
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReconfigurableMixer(mode={self._mode.value})"
+
+
+#: Minimum number of pending designs before the block solvers take over
+#: from the lazy per-cell scalar path.  A single design gains nothing from
+#: a block (its array loops lose to the scalar code), so solo requests stay
+#: on the scalar path.
+BATCH_THRESHOLD = 2
+
+
+def presolve_cells(
+        cells: Iterable[tuple[str, ReconfigurableMixer, MixerMode]]) -> int:
+    """Block-solve the Gm stage of every pending ``(label, mixer, mode)`` cell.
+
+    The one pre-solve pass of the sweep and waveform engines, run before
+    their cell loops over the cells no memo or engine cache covers.  When
+    at least :data:`BATCH_THRESHOLD` distinct designs still need work, one
+    :func:`~repro.core.transconductance.solve_widths` call sizes the
+    unsized ones and one
+    :func:`~repro.core.transconductance.solve_gm_block` call solves every
+    bias point and Taylor expansion, seeding the mixers' memos with exactly
+    the doubles the lazy scalar path would compute — so cell results do
+    not depend on which path ran.  Below the threshold nothing happens and
+    the cells solve lazily.  Returns the number of designs block-solved.
+    """
+    block: dict[int, tuple[str, ReconfigurableMixer,
+                           list[TransconductanceAmplifier]]] = {}
+    for label, mixer, mode in cells:
+        tca = mixer.transconductor_for(mode)
+        if tca.gm_stage_solved:
+            continue
+        stages = block.setdefault(id(mixer), (label, mixer, []))[2]
+        if tca not in stages:
+            stages.append(tca)
+    if len(block) < BATCH_THRESHOLD:
+        return 0
+    unsized = [(label, mixer) for label, mixer, _ in block.values()
+               if not mixer.gm_device_sized()]
+    if unsized:
+        widths = solve_widths([mixer.design for _, mixer in unsized],
+                              labels=[label for label, _ in unsized])
+        for (_, mixer), width in zip(unsized, widths):
+            mixer.seed_gm_width(float(width))
+    stages = [(label, tca) for label, _, tcas in block.values()
+              for tca in tcas]
+    solve_gm_block([tca for _, tca in stages],
+                   [label for label, _ in stages])
+    return len(block)

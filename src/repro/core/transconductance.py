@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.devices.mosfet import Mosfet, MosfetOperatingPoint
+from repro.devices.mosfet import Mosfet, MosfetArray, MosfetOperatingPoint
 from repro.devices.noise import FlickerNoise, ThermalNoise
 from repro.devices.technology import Technology
 from repro.units import REFERENCE_IMPEDANCE, dbm_from_vpeak
@@ -49,6 +49,14 @@ _BATCHED_SIZING_SOLVES = 0
 _MIN_WIDTH, _MAX_WIDTH = 2e-6, 2000e-6
 
 _UNREACHABLE = "target gm unreachable within the width search range"
+
+#: Central-difference step (V) of the Taylor expansion every spec reads.
+TAYLOR_DELTA = 1e-3
+
+#: Damped fixed-point budget of the degenerated I-V solve, and the
+#: current change (A) that counts as converged.
+_FIXED_POINT_ITERATIONS = 60
+_FIXED_POINT_TOLERANCE = 1e-15
 
 
 def sizing_solve_count() -> int:
@@ -199,10 +207,17 @@ class TransconductanceAmplifier:
     degeneration_resistance:
         Source degeneration seen by each Gm device (0 for the plain active
         configuration; the PMOS switch resistance in passive mode).
+    bias_memo:
+        Where the solved bias point is memoized.  The bias depends on the
+        device and the bias current, never on the degeneration, so the
+        configurations of one design pass one shared dict and solve it
+        once (the mixer does); omitted, the memo is private.
     """
 
     def __init__(self, design: MixerDesign,
-                 degeneration_resistance: float = 0.0) -> None:
+                 degeneration_resistance: float = 0.0, *,
+                 bias_memo: dict[str, MosfetOperatingPoint] | None = None
+                 ) -> None:
         if degeneration_resistance < 0:
             raise ValueError("degeneration resistance cannot be negative")
         self.design = design
@@ -210,6 +225,7 @@ class TransconductanceAmplifier:
         self.technology: Technology = design.technology
         self._bias_per_side = design.tca_bias_current / 2.0
         self._taylor_cache: dict[float, TaylorCoefficients] = {}
+        self._bias_memo = bias_memo if bias_memo is not None else {}
 
     # -- device sizing --------------------------------------------------------
 
@@ -249,12 +265,36 @@ class TransconductanceAmplifier:
         return Mosfet.nmos(width, self.design.gm_device_length,
                            self.technology)
 
-    @cached_property
+    @property
     def bias_point(self) -> MosfetOperatingPoint:
         """Operating point of one Gm device at the design bias."""
-        vds = self.technology.mid_rail
-        vgs = self.device.vgs_for_current(self._bias_per_side, vds)
-        return self.device.operating_point(vgs, vds)
+        point = self._bias_memo.get("bias_point")
+        if point is None:
+            vds = self.technology.mid_rail
+            vgs = self.device.vgs_for_current(self._bias_per_side, vds)
+            point = self.device.operating_point(vgs, vds)
+            self._bias_memo["bias_point"] = point
+        return point
+
+    @property
+    def bias_solved(self) -> bool:
+        """Whether the bias point is already solved (or seeded) — no solve."""
+        return "bias_point" in self._bias_memo
+
+    @property
+    def gm_stage_solved(self) -> bool:
+        """Whether the bias point and the default Taylor expansion are both
+        memoized, so no spec this stage feeds evaluates the device again."""
+        return self.bias_solved and TAYLOR_DELTA in self._taylor_cache
+
+    def seed_bias_point(self, point: MosfetOperatingPoint) -> None:
+        """Install an externally solved bias point (the block solver path).
+
+        The caller is responsible for ``point`` matching what
+        :attr:`bias_point` would solve; :func:`solve_gm_block` guarantees
+        that bit-for-bit.
+        """
+        self._bias_memo["bias_point"] = point
 
     @property
     def bias_voltage(self) -> float:
@@ -281,7 +321,8 @@ class TransconductanceAmplifier:
 
     # -- nonlinearity -----------------------------------------------------------
 
-    def taylor_coefficients(self, delta: float = 1e-3) -> TaylorCoefficients:
+    def taylor_coefficients(self, delta: float = TAYLOR_DELTA
+                            ) -> TaylorCoefficients:
         """Numerical Taylor expansion of the (degenerated) I-V around bias.
 
         Central differences on the large-signal transfer (including the
@@ -310,27 +351,15 @@ class TransconductanceAmplifier:
             # iteration; the damping converges the loop for gm * r_s < ~3,
             # which covers every realistic degeneration value.
             i = self.device.drain_current(vgs0 + v_in, vds)
-            for _ in range(60):
+            for _ in range(_FIXED_POINT_ITERATIONS):
                 i_new = self.device.drain_current(vgs0 + v_in - i * r_s, vds)
-                if abs(i_new - i) < 1e-15:
+                if abs(i_new - i) < _FIXED_POINT_TOLERANCE:
                     return i_new
                 i = 0.5 * (i + i_new)
-            raise RuntimeError(
-                "degenerated bias point failed to converge within 60 "
-                f"fixed-point iterations (residual {abs(i_new - i):.3g} A "
-                f"at v_in={v_in:.3g} V, r_s={r_s:.3g} ohm); the damped "
-                "iteration diverges once gm * r_s exceeds ~3")
+            raise RuntimeError(_divergence_message(abs(i_new - i), v_in, r_s))
 
-        i0 = current(0.0)
-        ip1, im1 = current(delta), current(-delta)
-        ip2, im2 = current(2.0 * delta), current(-2.0 * delta)
-        g1 = (ip1 - im1) / (2.0 * delta)
-        g2 = (ip1 - 2.0 * i0 + im1) / (2.0 * delta ** 2)
-        # Third derivative by central differences, divided by 3! for the
-        # Taylor coefficient.
-        third_derivative = (ip2 - 2.0 * ip1 + 2.0 * im1 - im2) / (2.0 * delta ** 3)
-        g3 = third_derivative / 6.0
-        return TaylorCoefficients(g1=g1, g2=g2, g3=g3)
+        return TaylorCoefficients(*_taylor_from_currents(
+            delta, *(current(v_in) for v_in in _excursions(delta))))
 
     def iip3_dbm(self) -> float:
         """Input-referred IIP3 of the (possibly degenerated) Gm stage, in dBm."""
@@ -399,3 +428,136 @@ class TransconductanceAmplifier:
         lowpass = 1.0 / np.sqrt(1.0 + (f / high_edge) ** 4)
         response = highpass * lowpass
         return response if np.ndim(rf_frequency) else float(response)
+
+
+# -- block solver ---------------------------------------------------------------
+
+
+def _excursions(delta: float) -> tuple[float, ...]:
+    """The five gate excursions of the expansion, in evaluation order."""
+    return (0.0, delta, -delta, 2.0 * delta, -2.0 * delta)
+
+
+def _taylor_from_currents(delta: float, i0, ip1, im1, ip2, im2) -> tuple:
+    """g1..g3 from the five-point central differences (floats or arrays)."""
+    g1 = (ip1 - im1) / (2.0 * delta)
+    g2 = (ip1 - 2.0 * i0 + im1) / (2.0 * delta ** 2)
+    # Third derivative by central differences, divided by 3! for the
+    # Taylor coefficient.
+    third_derivative = (ip2 - 2.0 * ip1 + 2.0 * im1 - im2) / (2.0 * delta ** 3)
+    return g1, g2, third_derivative / 6.0
+
+
+def _divergence_message(residual: float, v_in: float, r_s: float) -> str:
+    return (f"degenerated bias point failed to converge within "
+            f"{_FIXED_POINT_ITERATIONS} fixed-point iterations (residual "
+            f"{residual:.3g} A at v_in={v_in:.3g} V, r_s={r_s:.3g} ohm); the "
+            "damped iteration diverges once gm * r_s exceeds ~3")
+
+
+def _device_bank(devices: Sequence[Mosfet], repeat: int = 1) -> MosfetArray:
+    """One :class:`MosfetArray` element per device, each ``repeat`` times."""
+    polarity = devices[0].params.polarity
+    if any(device.params.polarity is not polarity for device in devices):
+        raise ValueError("a Gm-stage block needs one device polarity")
+    return MosfetArray(
+        np.repeat([device.params.width for device in devices], repeat),
+        np.repeat([device.params.length for device in devices], repeat),
+        polarity,
+        [device.params.technology for device in devices
+         for _ in range(repeat)])
+
+
+def solve_gm_block(amplifiers: Sequence[TransconductanceAmplifier],
+                   labels: Sequence[str]) -> None:
+    """Block-solve the bias point and Taylor expansion of many Gm stages.
+
+    The array twin of the lazy :attr:`TransconductanceAmplifier.bias_point`
+    and :meth:`~TransconductanceAmplifier.taylor_coefficients` (at
+    :data:`TAYLOR_DELTA`): one masked bisection finds every bias ``vgs``
+    (once per shared bias memo — both configurations of a design share
+    one), and
+    one masked damped fixed-point iteration over a (stages x 5) array runs
+    every degenerated excursion.  Each element repeats the scalar code's
+    IEEE operation sequence, so the seeded memos are bit-identical to what
+    the lazy path would have computed; stages already solved are skipped.
+
+    ``labels`` (one per amplifier) name the offending designs in the
+    scalar solvers' unchanged ``ValueError`` (unreachable bias current) and
+    ``RuntimeError`` (divergent degeneration) messages.
+    """
+    if len(labels) != len(amplifiers):
+        raise ValueError(
+            f"got {len(labels)} labels for {len(amplifiers)} amplifiers")
+    # Keyed by memo: amplifiers sharing one bias memo need one solve.
+    biased: dict[int, tuple[TransconductanceAmplifier, str]] = {}
+    for amplifier, label in zip(amplifiers, labels):
+        if not amplifier.bias_solved:
+            biased.setdefault(id(amplifier._bias_memo), (amplifier, label))
+    if biased:
+        _seed_bias_points(list(biased.values()))
+    expanded = [(amplifier, label)
+                for amplifier, label in zip(amplifiers, labels)
+                if TAYLOR_DELTA not in amplifier._taylor_cache]
+    if expanded:
+        _seed_taylor_coefficients(expanded)
+
+
+def _seed_bias_points(
+        stages: Sequence[tuple[TransconductanceAmplifier, str]]) -> None:
+    """``Mosfet.vgs_for_current`` for every stage as one masked bisection."""
+    devices = [amplifier.device for amplifier, _ in stages]
+    mid_rails = [amplifier.technology.mid_rail for amplifier, _ in stages]
+    vgs = _device_bank(devices).vgs_for_current(
+        [amplifier._bias_per_side for amplifier, _ in stages], mid_rails,
+        names=[label for _, label in stages])
+    for (amplifier, _), device, bias, vds in zip(stages, devices, vgs,
+                                                 mid_rails):
+        amplifier.seed_bias_point(device.operating_point(float(bias), vds))
+
+
+def _seed_taylor_coefficients(
+        stages: Sequence[tuple[TransconductanceAmplifier, str]]) -> None:
+    """The five-point expansion of every stage as one masked iteration."""
+    excursions = _excursions(TAYLOR_DELTA)
+    width = len(excursions)
+    count = len(stages)
+    bank = _device_bank([amplifier.device for amplifier, _ in stages], width)
+    vgs0 = np.repeat([amplifier.bias_point.vgs for amplifier, _ in stages],
+                     width)
+    vds = np.repeat([amplifier.technology.mid_rail
+                     for amplifier, _ in stages], width)
+    r_s = np.repeat([amplifier.degeneration_resistance
+                     for amplifier, _ in stages], width)
+    gate = vgs0 + np.tile(excursions, count)
+    current = bank.drain_current(gate, vds)
+    # Undegenerated elements are done after that first evaluation, exactly
+    # like the scalar r_s == 0 branch; the rest iterate until each meets
+    # the scalar convergence test, on the scalar's own iteration count.
+    pending = r_s != 0.0
+    converged = current.copy()
+    residual = np.zeros_like(current)
+    for _ in range(_FIXED_POINT_ITERATIONS):
+        if not pending.any():
+            break
+        updated = bank.drain_current(gate - current * r_s, vds)
+        step = np.abs(updated - current)
+        done = pending & (step < _FIXED_POINT_TOLERANCE)
+        converged[done] = updated[done]
+        pending &= ~done
+        current = np.where(pending, 0.5 * (current + updated), current)
+        residual = np.where(pending, np.abs(updated - current), residual)
+    if pending.any():
+        failed = pending.reshape(count, width)
+        problems = []
+        for index in np.flatnonzero(failed.any(axis=1)):
+            first = index * width + int(np.argmax(failed[index]))
+            problems.append(f"{stages[index][1]}: " + _divergence_message(
+                float(residual[first]), excursions[first % width],
+                float(r_s[first])))
+        raise RuntimeError("; ".join(problems))
+    g1, g2, g3 = _taylor_from_currents(
+        TAYLOR_DELTA, *converged.reshape(count, width).T)
+    for index, (amplifier, _) in enumerate(stages):
+        amplifier._taylor_cache[TAYLOR_DELTA] = TaylorCoefficients(
+            g1=float(g1[index]), g2=float(g2[index]), g3=float(g3[index]))

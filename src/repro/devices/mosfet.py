@@ -476,9 +476,9 @@ class MosfetArray:
 
     # -- DC model -----------------------------------------------------------
 
-    def _evaluate(self, nvgs: np.ndarray,
-                  nvds: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The square-law equations on polarity-normalised voltage arrays.
+    def _current(self, nvgs: np.ndarray,
+                 nvds: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Drain current plus the terms ``_evaluate`` reuses for gm/gds.
 
         Every arithmetic expression below mirrors a line of the scalar
         :meth:`Mosfet.operating_point` with identical association order;
@@ -486,18 +486,26 @@ class MosfetArray:
         cannot perturb the per-element doubles.
         """
         vov = nvgs - self._vth
-        beta = self.beta
-        theta = self._theta
-        lam = self._lambda
         cutoff = (vov <= 0.0) | (nvds < 0.0)
         saturated = ~cutoff & (nvds >= vov)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            degradation = 1.0 + theta * vov
-            beta_eff = beta / degradation
-            clm = 1.0 + lam * nvds
+            degradation = 1.0 + self._theta * vov
+            beta_eff = self.beta / degradation
+            clm = 1.0 + self._lambda * nvds
             id_sat = 0.5 * beta_eff * vov * vov * clm
             id_tri = beta_eff * (vov * nvds - 0.5 * nvds * nvds) * clm
             id_ = np.where(cutoff, 0.0, np.where(saturated, id_sat, id_tri))
+        return id_, vov, cutoff, saturated, degradation, beta_eff, clm
+
+    def _evaluate(self, nvgs: np.ndarray,
+                  nvds: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The square-law equations on polarity-normalised voltage arrays."""
+        id_, vov, cutoff, saturated, degradation, beta_eff, clm = \
+            self._current(nvgs, nvds)
+        beta = self.beta
+        theta = self._theta
+        lam = self._lambda
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # The scalar model writes ``degradation ** 2``, which CPython
             # routes through libm pow() — occasionally 1 ulp away from the
             # x*x that numpy lowers ``arr ** 2`` to.  Square per element
@@ -533,6 +541,57 @@ class MosfetArray:
         id_, gm, gds, vov = self._evaluate(nvgs, nvds)
         return MosfetArrayOperatingPoint(id=id_, gm=gm, gds=gds,
                                          vgs=nvgs, vds=nvds, vov=vov)
+
+    def drain_current(self, vgs, vds) -> np.ndarray:
+        """Per-element drain current magnitude (A), bit-equal to the scalar.
+
+        The id-only twin of :meth:`operating_point` for iterative solvers:
+        it skips gm/gds and with them the per-element ``math.pow`` loop.
+        """
+        return self._current(*self._normalise(vgs, vds))[0]
+
+    # -- bias solving -------------------------------------------------------
+
+    def vgs_for_current(self, target_id, vds, tolerance: float = 1e-12,
+                        max_iterations: int = 200,
+                        names: Sequence[str] | None = None) -> np.ndarray:
+        """Per-element gate bias producing ``target_id``: a masked bisection.
+
+        The array twin of :meth:`Mosfet.vgs_for_current` for positive
+        targets: every element replays the scalar bisection step for step
+        and stops on the same iteration, so each result is bit-equal to
+        the scalar solve.  Raises :class:`ValueError` with the scalar
+        message for every unreachable element, named by ``names`` (one per
+        element) or by index.
+        """
+        shape = self.width.shape
+        target = np.broadcast_to(np.asarray(target_id, dtype=float), shape)
+        if np.any(target <= 0.0):
+            raise ValueError("bank bias targets must be positive")
+        sign = 1.0 if self.polarity is MosfetPolarity.NMOS else -1.0
+        nvds = np.abs(np.broadcast_to(np.asarray(vds, dtype=float), shape))
+        lo = self._vth.copy()
+        hi = self._vth + 3.0  # generous upper bound on the overdrive
+
+        def below(nvgs: np.ndarray) -> np.ndarray:
+            return self.drain_current(sign * nvgs, sign * nvds) < target
+
+        unreachable = np.flatnonzero(below(hi))
+        if unreachable.size:
+            raise ValueError("; ".join(
+                f"{names[index] if names is not None else f'element[{index}]'}"
+                f": target current {target[index]:.3g} A is unreachable "
+                "for this geometry" for index in unreachable))
+        active = np.ones(shape, dtype=bool)
+        for _ in range(max_iterations):
+            mid = 0.5 * (lo + hi)
+            low = below(mid)
+            lo = np.where(active & low, mid, lo)
+            hi = np.where(active & ~low, mid, hi)
+            active &= ~(hi - lo < tolerance)
+            if not active.any():
+                break
+        return sign * 0.5 * (lo + hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MosfetArray({self.polarity.value}, n={len(self)}, "

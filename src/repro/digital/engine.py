@@ -245,7 +245,8 @@ class DigitalIfRunner:
                 pending.append((design_index, mode_index, record))
         self._waveform.presize_designs(
             [record for _, _, record in pending],
-            [design_axis.values[i] for i, _, _ in pending])
+            [design_axis.values[i] for i, _, _ in pending],
+            [members[j] for _, j, _ in pending])
         # Pass 2 — evaluate the cells the cache could not cover: tap the
         # analog engine (memoized per cell), then one quantization pass.
         for design_index, mode_index, record in pending:

@@ -25,7 +25,8 @@ use, so a response is bit-identical to the in-process call (``json``
 round-trips every double exactly; asserted in ``tests/test_serve.py`` and
 by the CI serve-smoke job) while a saturated queue sheds load with ``429``
 instead of queueing unboundedly.  Request errors map to ``400`` with a
-JSON body naming the problem; unknown paths to ``404``.
+JSON body naming the problem, a body over :data:`MAX_BODY_BYTES` to
+``413``; unknown paths to ``404``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ from repro.sweep.parallel import set_pool_reuse, shutdown_shared_pools
 #: Upper bound on accepted request bodies (a design payload is ~1 kB; a
 #: thousand-request batch fits comfortably — this only stops abuse).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class PayloadTooLargeError(RequestValidationError):
+    """A request body over :data:`MAX_BODY_BYTES`: answered ``413``."""
 
 
 class SpecHTTPServer(ThreadingHTTPServer):
@@ -144,7 +149,7 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
         if length <= 0:
             raise RequestValidationError("request body must be JSON")
         if length > MAX_BODY_BYTES:
-            raise RequestValidationError(
+            raise PayloadTooLargeError(
                 f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
@@ -186,6 +191,11 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
                 "client_api_version": error.client_version,
                 "server_api_version": error.server_version,
             })
+        except PayloadTooLargeError as error:
+            # The body stays unread, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            status = self._fail(413, str(error))
         except RequestValidationError as error:
             status = self._fail(400, str(error))
         except JobQueueFullError as error:
@@ -250,7 +260,7 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
             payload = self._read_json_body()
             job = self.server.jobs.submit(payload)
             self._count_experiments(job)
-            return self._finish_sync(self.server.jobs.wait(job))
+            return self._finish_sync(job)
         if self.path == "/v1/batch":
             payload = self._read_json_body()
             if not isinstance(payload, dict) \
@@ -259,7 +269,7 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
                     "batch body must be {\"requests\": [...]}")
             job = self.server.jobs.submit_batch(payload["requests"])
             self._count_experiments(job)
-            return self._finish_sync(self.server.jobs.wait(job))
+            return self._finish_sync(job)
         if self.path == "/v1/jobs":
             payload = self._read_json_body()
             if not isinstance(payload, dict):
@@ -284,17 +294,21 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
             self.server.metrics.count_experiment(name)
 
     def _finish_sync(self, job) -> int:
-        """Render a finished job as the synchronous endpoints always did.
+        """Wait for a job and answer with it as the sync endpoints always did.
 
         A validation failure is the client's fault (400), anything else is
         the server's (500); a done job's ``result`` *is* the encoded
         response body, so the sync wire format is unchanged down to the
-        byte.
+        byte.  The answered job leaves the polling history.
         """
-        if job.state == "failed":
-            status = 400 if job.error_kind == ERROR_VALIDATION else 500
-            return self._send_error_json(status, job.error)
-        return self._send_json(200, job.result)
+        job = self.server.jobs.wait(job)
+        try:
+            if job.state == "failed":
+                status = 400 if job.error_kind == ERROR_VALIDATION else 500
+                return self._send_error_json(status, job.error)
+            return self._send_json(200, job.result)
+        finally:
+            self.server.jobs.release(job)
 
     def _metrics_payload(self) -> dict:
         payload = self.server.metrics.snapshot()

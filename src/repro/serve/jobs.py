@@ -528,6 +528,18 @@ class JobManager:
                                f"after {timeout}s")
         return job
 
+    def release(self, job: Job) -> None:
+        """Evict a finished job whose submitter already holds its result.
+
+        The synchronous endpoints call this once their response is
+        written: the result went out on that connection, so retaining it
+        for polling would only hold its bytes (and its requests' design
+        records) until 256 newer jobs push it out.
+        """
+        with self._lock:
+            if job.state in (JOB_DONE, JOB_FAILED):
+                self._jobs.pop(job.id, None)
+
     def jobs(self) -> list[Job]:
         """Every retained job, oldest first."""
         with self._lock:

@@ -36,8 +36,11 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer, SpecIntermediates
-from repro.core.transconductance import solve_widths
+from repro.core.reconfigurable_mixer import (
+    ReconfigurableMixer,
+    SpecIntermediates,
+    presolve_cells,
+)
 from repro.sweep.cache import SpecCache, resolve_cache
 from repro.sweep.grid import IF_AXIS, RF_AXIS, SweepAxis
 from repro.sweep.result import SweepResult
@@ -90,10 +93,10 @@ class SweepRunner:
         # Mixers (and with them every sizing/bias solution and memoized
         # intermediate) are kept per design record across run() calls.
         self._mixers: dict[MixerDesign, ReconfigurableMixer] = {}
-        # (design, mode) cells the pre-sizing pass already checked the disk
+        # (design, mode) cells the pre-solve pass already checked the disk
         # cache for and missed; _cell_intermediates skips the redundant
         # second load so the cache counters see each cell exactly once.
-        self._presize_misses: set[tuple[MixerDesign, MixerMode]] = set()
+        self._presolve_misses: set[tuple[MixerDesign, MixerMode]] = set()
 
     # -- mixer cache ---------------------------------------------------------
 
@@ -145,7 +148,7 @@ class SweepRunner:
         shape = (len(design_axis), len(mode_axis), rf.size, if_.size)
         data = {spec: np.empty(shape, dtype=float) for spec in self.specs}
 
-        self._presize(design_records, mode_members, design_axis.values)
+        self._presolve(design_records, mode_members, design_axis.values)
         for design_index, record in enumerate(design_records):
             mixer = self.mixer_for(record)
             for mode_index, mode in enumerate(mode_members):
@@ -156,58 +159,36 @@ class SweepRunner:
         axes = (design_axis, mode_axis, rf_axis, if_axis)
         return SweepResult(axes, data)
 
-    #: Minimum number of unsolved designs before the batched width solver
-    #: takes over from the lazy per-cell scalar path.  A single design gains
-    #: nothing from batching, so spot sweeps stay on the scalar solver.
-    _BATCH_THRESHOLD = 2
+    def _presolve(self, records: Sequence[MixerDesign],
+                  modes: Sequence[MixerMode],
+                  labels: Sequence[str]) -> int:
+        """Settle the disk cache, then block-solve every uncovered cell.
 
-    def _presize(self, records: Sequence[MixerDesign],
-                 modes: Sequence[MixerMode],
-                 labels: Sequence[str]) -> int:
-        """Batch-solve Gm widths for every design the cache cannot cover.
-
-        One :func:`~repro.core.transconductance.solve_widths` call sizes the
-        whole unsolved block of the design axis before the cell loop runs —
-        one call for the block instead of one lazy solve per cell.  A
-        design only joins the block when at least one of its modes is served
-        by neither the mixer memo nor the disk cache (cache hits seed the
-        memo here, so a warm run still performs zero solves); the solved
-        widths are bit-identical to the lazy scalar path, so cell results do
-        not depend on which solver ran.  Returns the number of designs
-        batch-sized.
+        A (design, mode) cell the disk cache covers seeds the mixer memo
+        here (so a warm run still performs zero solves); the cells neither
+        the memo nor the cache covers go to
+        :func:`~repro.core.reconfigurable_mixer.presolve_cells` before the
+        cell loop runs.  Returns the number of designs block-solved.
         """
-        pending_records: list[MixerDesign] = []
-        pending_labels: list[str] = []
-        pending_mixers: list[ReconfigurableMixer] = []
+        pending: list[tuple[str, ReconfigurableMixer, MixerMode]] = []
         seen: set[MixerDesign] = set()
         for label, record in zip(labels, records):
             if record in seen:
                 continue
             seen.add(record)
             mixer = self.mixer_for(record)
-            covered = True
             for mode in modes:
                 if mixer.peek_intermediates(mode) is not None:
                     continue
                 if self.cache is not None and \
-                        (record, mode) not in self._presize_misses:
+                        (record, mode) not in self._presolve_misses:
                     cached = self.cache.load(record, mode)
                     if cached is not None:
                         mixer.seed_intermediates(cached)
                         continue
-                    self._presize_misses.add((record, mode))
-                covered = False
-            if covered or mixer.gm_device_sized():
-                continue
-            pending_records.append(record)
-            pending_labels.append(label)
-            pending_mixers.append(mixer)
-        if len(pending_records) < self._BATCH_THRESHOLD:
-            return 0
-        widths = solve_widths(pending_records, labels=pending_labels)
-        for mixer, width in zip(pending_mixers, widths):
-            mixer.seed_gm_width(float(width))
-        return len(pending_records)
+                    self._presolve_misses.add((record, mode))
+                pending.append((label, mixer, mode))
+        return presolve_cells(pending)
 
     def _cell_intermediates(self, mixer: ReconfigurableMixer,
                             record: MixerDesign) -> SpecIntermediates:
@@ -226,7 +207,7 @@ class SweepRunner:
             return cached
         if self.cache is None:
             return mixer.spec_intermediates()
-        if (record, mixer.mode) not in self._presize_misses:
+        if (record, mixer.mode) not in self._presolve_misses:
             loaded = self.cache.load(record, mixer.mode)
             if loaded is not None:
                 mixer.seed_intermediates(loaded)

@@ -38,8 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer
-from repro.core.transconductance import solve_widths
+from repro.core.reconfigurable_mixer import ReconfigurableMixer, presolve_cells
 from repro.rf.signal import WaveformTransfer
 from repro.sweep.cache import resolve_cache
 from repro.sweep.grid import POWER_AXIS, SweepAxis
@@ -193,7 +192,9 @@ def evaluate_plan(device: WaveformTransfer, plan: StimulusPlan,
 class WaveformRunner:
     """Evaluates waveform benches over labelled design x mode x power grids.
 
-    The waveform twin of :class:`~repro.sweep.runner.SweepRunner`:
+    Follows the analytic :class:`~repro.sweep.runner.SweepRunner`: the
+    same design and mode axes, a mixer memo per design record, and the
+    same Gm-stage pre-solve pass before the cell loop.
 
     Parameters
     ----------
@@ -275,17 +276,21 @@ class WaveformRunner:
         self._taps[key] = out
         return out
 
-    def presize_designs(self, records, labels) -> int:
-        """Batch-size the Gm devices of the given designs before evaluation.
+    def presize_designs(self, records, labels, modes) -> int:
+        """Block-solve the Gm stages of the given cells before evaluation.
 
-        Public face of the pre-sizing pass for engines layered on top of
-        the tap (the digital runner): call once with every pending design
-        so a population's width solves run as one
-        :func:`~repro.core.transconductance.solve_widths` block.  Returns
-        the number of designs batch-sized (0 below the batch threshold —
+        ``records``, ``labels`` and ``modes`` run parallel, one entry per
+        pending (design, mode) cell.  The pre-solve pass of :meth:`run`,
+        public for engines layered on top of the tap (the digital runner):
+        call once with every pending cell so a population's sizing, bias
+        and Taylor solves run as one block
+        (:func:`~repro.core.reconfigurable_mixer.presolve_cells`).  Returns
+        the number of designs block-solved (0 below the batch threshold —
         the lazy per-cell path then solves them identically).
         """
-        return self._presize(list(records), list(labels))
+        return presolve_cells(
+            (label, self.mixer_for(record), mode)
+            for record, label, mode in zip(records, labels, modes))
 
     # -- execution ------------------------------------------------------------
 
@@ -325,8 +330,9 @@ class WaveformRunner:
                                 cached[measure]
                         continue
                 pending.append((design_index, mode_index, record))
-        self._presize([record for _, _, record in pending],
-                      [design_axis.values[i] for i, _, _ in pending])
+        self.presize_designs([record for _, _, record in pending],
+                             [design_axis.values[i] for i, _, _ in pending],
+                             [members[j] for _, j, _ in pending])
         # Pass 2 — evaluate the cells the cache could not cover, all devices
         # already sized when the batch threshold was met.
         block: np.ndarray | None = None  # one stimulus, shared by all cells
@@ -342,40 +348,6 @@ class WaveformRunner:
             for measure in plan.measures:
                 data[measure][design_index, mode_index] = measures[measure]
         return WaveformResult((design_axis, mode_axis, power_axis), data)
-
-    #: Minimum number of unsolved designs before the batched width solver
-    #: takes over (mirrors :attr:`SweepRunner._BATCH_THRESHOLD`).
-    _BATCH_THRESHOLD = 2
-
-    def _presize(self, records, labels) -> int:
-        """Batch-solve Gm widths for the distinct unsized pending designs.
-
-        The waveform twin of :meth:`SweepRunner._presize`: one
-        :func:`~repro.core.transconductance.solve_widths` call replaces the
-        N scalar solves the lazy per-cell path would have run, and
-        the solved widths are bit-identical, so measures are unchanged.
-        Returns the number of designs batch-sized.
-        """
-        pending_records: list[MixerDesign] = []
-        pending_labels: list[str] = []
-        pending_mixers: list[ReconfigurableMixer] = []
-        seen: set[MixerDesign] = set()
-        for label, record in zip(labels, records):
-            if record in seen:
-                continue
-            seen.add(record)
-            mixer = self.mixer_for(record)
-            if mixer.gm_device_sized():
-                continue
-            pending_records.append(record)
-            pending_labels.append(label)
-            pending_mixers.append(mixer)
-        if len(pending_records) < self._BATCH_THRESHOLD:
-            return 0
-        widths = solve_widths(pending_records, labels=pending_labels)
-        for mixer, width in zip(pending_mixers, widths):
-            mixer.seed_gm_width(float(width))
-        return len(pending_records)
 
     def _evaluate_cell(self, mixer: ReconfigurableMixer, record: MixerDesign,
                        plan: StimulusPlan,

@@ -23,7 +23,12 @@ import pytest
 from repro.api import MixerService, encode
 from repro.cli import main as cli_main
 from repro.core.config import MixerDesign
-from repro.serve import SpecRequestHandler, create_server, serve_in_thread
+from repro.serve import (
+    MAX_BODY_BYTES,
+    SpecRequestHandler,
+    create_server,
+    serve_in_thread,
+)
 
 from api_test_helpers import (
     EXPERIMENT_NAMES,
@@ -412,6 +417,26 @@ class TestHttpErrorMapping:
         body = rest.split("\r\n\r\n", 1)[1]
         assert "malformed Content-Length" in json.loads(body)["error"]
 
+    def test_oversized_body_is_413(self, base_url):
+        # The declared length alone is refused: no body is sent or read.
+        host, port = base_url.removeprefix("http://").split(":")
+        raw = (b"POST /v1/spec HTTP/1.1\r\n"
+               b"Host: test\r\n"
+               + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode()
+               + b"\r\n")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(raw)
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+            reply = b"".join(chunks).decode("utf-8", "replace")
+        status_line, _, rest = reply.partition("\r\n")
+        assert status_line.split()[1] == "413"
+        body = rest.split("\r\n\r\n", 1)[1]
+        assert "exceeds" in json.loads(body)["error"]
+        # The server keeps serving after refusing the body.
+        assert get_json(base_url + "/v1/health") == {"status": "ok"}
+
     def test_runner_crash_is_500(self):
         with echo_server() as (_server, url):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -509,6 +534,22 @@ class TestJobsHttp:
             assert done["result"]["result"]["fields"]["value"] == 7.0
             assert done["result"]["experiment"] == "echo"
             assert done["running_s"] >= 0.0
+
+    def test_answered_sync_jobs_leave_the_history(self):
+        with echo_server() as (_server, url):
+            assert post_json(url + "/v1/spec", echo_payload(1.0))[
+                "result"]["fields"]["value"] == 1.0
+            post_json(url + "/v1/batch", {"requests": [echo_payload(2.0)]})
+            with pytest.raises(urllib.error.HTTPError):
+                post_json(url + "/v1/spec", echo_payload(3.0, fail=True))
+            submitted = post_json(url + "/v1/jobs", {
+                "request": echo_payload(4.0)})["job"]
+            wait_for(lambda: poll_job(url, submitted["id"])["state"]
+                     == "done")
+            listing = get_json(url + "/v1/jobs")["jobs"]
+            assert [job["id"] for job in listing] == [submitted["id"]]
+            jobs = get_json(url + "/v1/metrics")["jobs"]
+            assert jobs["retained"] == 1 and jobs["completed"] == 3
 
     def test_yield_opt_job_streams_iteration_history(self, base_url,
                                                      monkeypatch):

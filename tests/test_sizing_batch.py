@@ -7,11 +7,14 @@ the closed form against the retained bisection (1e-12 relative inside its
 domain, bitwise outside it), the unchanged unreachable-target errors, the
 device-evaluation work a cold request now does, the batched
 :func:`~repro.core.transconductance.solve_widths` entry point (bit-identical
-to the lazy scalar solve, since both call the same function), and the
-:class:`MosfetArray` device model against the scalar :class:`Mosfet`.  It
-also carries the regression test for the degenerated-bias fixed-point loop,
-which raises instead of silently returning a stale current when it fails
-to converge.
+to the lazy scalar solve, since both call the same function), the
+:class:`MosfetArray` device model against the scalar :class:`Mosfet`, and
+the Gm-stage block solver (:func:`~repro.core.transconductance.\
+solve_gm_block`: bias point and Taylor expansion) bitwise against the lazy
+scalar path it replaces for design blocks.  It also carries the regression
+test for the degenerated-bias fixed-point loop, which raises instead of
+silently returning a stale current when it fails to converge, and the
+work-count pins of a cold fig8 request and a default yield search.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer
+from repro.core.reconfigurable_mixer import ReconfigurableMixer, presolve_cells
 from repro.api import MixerService, SpecRequest
 from repro.core.transconductance import (
     TransconductanceAmplifier,
@@ -32,6 +35,7 @@ from repro.core.transconductance import (
     batched_sizing_solve_count,
     gm_device_width,
     sizing_solve_count,
+    solve_gm_block,
     solve_widths,
 )
 from repro.devices.mosfet import Mosfet, MosfetArray, MosfetRegion
@@ -108,6 +112,60 @@ class TestMosfetArrayEquivalence:
         bank = MosfetArray.nmos(np.array([10e-6, 30e-6]), np.array([100e-9]))
         assert bank.element(1).params.width == 30e-6
         assert len(bank) == 2
+
+    @COMMON_SETTINGS
+    @given(vgs=st.floats(min_value=-0.2, max_value=1.2),
+           vds=st.floats(min_value=-0.1, max_value=1.2))
+    def test_drain_current_matches_scalar(self, vgs, vds):
+        bank = MosfetArray.nmos(np.array([7e-6, 300e-6]),
+                                np.array([100e-9, 65e-9]))
+        currents = bank.drain_current(vgs, vds)
+        for index in range(len(bank)):
+            assert currents[index] == \
+                bank.element(index).drain_current(vgs, vds)
+
+    @COMMON_SETTINGS
+    @given(widths=st.lists(st.floats(min_value=2e-6, max_value=2000e-6),
+                           min_size=1, max_size=5),
+           target=st.floats(min_value=1e-6, max_value=5e-3))
+    def test_vgs_for_current_matches_scalar(self, widths, target):
+        corners = [slow_corner(), UMC65_LIKE, fast_corner()]
+        technologies = [corners[i % 3] for i in range(len(widths))]
+        bank = MosfetArray.nmos(np.array(widths), 100e-9, technologies)
+        scalar = []
+        for index, width in enumerate(widths):
+            device = Mosfet.nmos(width, 100e-9, technologies[index])
+            try:
+                scalar.append(device.vgs_for_current(target, 0.6))
+            except ValueError:
+                scalar.append(None)
+        if None in scalar:
+            # Narrow devices cannot carry large targets: the bank refuses
+            # exactly where the scalar solver does.
+            with pytest.raises(ValueError, match="unreachable") as excinfo:
+                bank.vgs_for_current(target, 0.6)
+            named = [f"element[{index}]" for index, value
+                     in enumerate(scalar) if value is None]
+            assert all(name in str(excinfo.value) for name in named)
+            return
+        assert list(bank.vgs_for_current(target, 0.6)) == scalar
+
+    def test_vgs_for_current_pmos_matches_scalar(self):
+        bank = MosfetArray.pmos(np.array([20e-6, 80e-6]), 100e-9)
+        vgs = bank.vgs_for_current(1e-4, -0.6)
+        for index in range(2):
+            assert vgs[index] == \
+                bank.element(index).vgs_for_current(1e-4, -0.6)
+            assert vgs[index] < 0.0
+
+    def test_unreachable_current_names_the_element(self):
+        bank = MosfetArray.nmos(np.array([20e-6, 1e-9]), 100e-9)
+        with pytest.raises(ValueError) as excinfo:
+            bank.vgs_for_current(1e-3, 0.6, names=["wide", "sliver"])
+        message = str(excinfo.value)
+        assert "sliver: target current" in message
+        assert "unreachable for this geometry" in message
+        assert "wide" not in message
 
 
 class TestSolveWidthsEquivalence:
@@ -237,8 +295,24 @@ def _bisection_resolution(design: MixerDesign) -> float:
 
 
 #: ``Mosfet.operating_point`` calls of one cold solo fig8 request when every
-#: width was bisected (the closed form measures 194).
+#: width was bisected.
 _BISECTED_FIG8_OPERATING_POINT_CALLS = 7322
+
+#: The same request with closed-form sizing and one bias bisection shared by
+#: both modes (194 while each mode bisected its own bias).
+_COLD_FIG8_OPERATING_POINT_CALLS = 150
+
+
+def _count_calls(monkeypatch, method: str) -> list:
+    """Record every call of ``Mosfet.<method>`` for the rest of the test."""
+    calls: list = []
+    original = getattr(Mosfet, method)
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(Mosfet, method, counting)
+    return calls
 
 
 class TestClosedFormSizing:
@@ -302,19 +376,17 @@ class TestClosedFormSizing:
         assert gm_device_width(replace(MixerDesign(), tca_gm=1.0)) is None
 
     def test_cold_fig8_device_evaluations(self, monkeypatch):
-        # Solo requests size lazily through the scalar path, so the count
-        # is one request's whole device-model work.
-        calls = []
-        evaluate = Mosfet.operating_point
-
-        def counting(self, *args, **kwargs):
-            calls.append(None)
-            return evaluate(self, *args, **kwargs)
-        monkeypatch.setattr(Mosfet, "operating_point", counting)
+        # Solo requests solve lazily through the scalar path, so the count
+        # is one request's whole device-model work: one bias bisection
+        # shared by both modes, then both Taylor expansions.
+        calls = _count_calls(monkeypatch, "operating_point")
+        bisections = _count_calls(monkeypatch, "vgs_for_current")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
         MixerService(response_cache=False).submit(
             SpecRequest(experiment="fig8"))
-        assert 0 < len(calls) <= _BISECTED_FIG8_OPERATING_POINT_CALLS // 20
+        assert len(bisections) == 1
+        assert 0 < len(calls) <= _COLD_FIG8_OPERATING_POINT_CALLS
+        assert len(calls) < _BISECTED_FIG8_OPERATING_POINT_CALLS // 40
 
 
 class TestSeedDevice:
@@ -353,3 +425,148 @@ class TestTaylorConvergenceGuard:
                                         degeneration_resistance=1e6)
         with pytest.raises(RuntimeError, match="failed to converge"):
             tca.taylor_coefficients()
+
+
+_BOTH_MODES = (MixerMode.ACTIVE, MixerMode.PASSIVE)
+
+
+def _scalar_stage(design: MixerDesign,
+                  mode: MixerMode) -> TransconductanceAmplifier:
+    """A fresh, unlinked TCA solved lazily through the scalar code."""
+    return TransconductanceAmplifier(
+        design, 0.0 if mode is MixerMode.ACTIVE
+        else design.degeneration_resistance)
+
+
+def _assert_stage_matches_scalar(stage: TransconductanceAmplifier,
+                                 design: MixerDesign,
+                                 mode: MixerMode) -> None:
+    scalar = _scalar_stage(design, mode)
+    assert stage.gm_stage_solved
+    assert stage.bias_point.vgs == scalar.bias_point.vgs
+    assert stage.bias_point.gm == scalar.bias_point.gm
+    assert stage.bias_point == scalar.bias_point
+    block, reference = stage.taylor_coefficients(), scalar.taylor_coefficients()
+    assert (block.g1, block.g2, block.g3) == \
+        (reference.g1, reference.g2, reference.g3)
+
+
+def _presolved(designs: list[MixerDesign], modes) -> list[ReconfigurableMixer]:
+    mixers = [ReconfigurableMixer(design) for design in designs]
+    solved = presolve_cells((f"d{index}", mixer, mode)
+                            for index, mixer in enumerate(mixers)
+                            for mode in modes)
+    assert solved == len(designs)
+    return mixers
+
+
+class TestGmBlockSolver:
+    """The block bias/Taylor solve is bitwise the lazy scalar path."""
+
+    @pytest.mark.parametrize("modes", [_BOTH_MODES, (MixerMode.ACTIVE,),
+                                       (MixerMode.PASSIVE,)],
+                             ids=["both", "active", "passive"])
+    def test_monte_carlo_population_matches_scalar(self, modes):
+        designs = _mc_designs(32, seed=11)
+        for design, mixer in zip(designs, _presolved(designs, modes)):
+            for mode in modes:
+                _assert_stage_matches_scalar(mixer.transconductor_for(mode),
+                                             design, mode)
+
+    def test_process_corners_match_scalar(self):
+        designs = [replace(MixerDesign(), technology=corner())
+                   for corner in (slow_corner, fast_corner)]
+        designs += _mc_designs(3, seed=2)
+        for design, mixer in zip(designs, _presolved(designs, _BOTH_MODES)):
+            for mode in _BOTH_MODES:
+                _assert_stage_matches_scalar(mixer.transconductor_for(mode),
+                                             design, mode)
+
+    def test_one_bias_solve_serves_both_modes(self, monkeypatch):
+        bisections = _count_calls(monkeypatch, "vgs_for_current")
+        evaluations = _count_calls(monkeypatch, "operating_point")
+        designs = _mc_designs(6, seed=4)
+        mixers = _presolved(designs, _BOTH_MODES)
+        assert bisections == []
+        # One scalar evaluation per design: its bias point's gm.
+        assert len(evaluations) == len(designs)
+        for mixer in mixers:
+            assert mixer.transconductor_for(MixerMode.ACTIVE).bias_point is \
+                mixer.transconductor_for(MixerMode.PASSIVE).bias_point
+
+    def test_mixer_intermediates_match_lazy_path(self):
+        designs = _mc_designs(4, seed=9)
+        for design, mixer in zip(designs, _presolved(designs, _BOTH_MODES)):
+            lazy = ReconfigurableMixer(design)
+            for mode in _BOTH_MODES:
+                mixer.set_mode(mode)
+                lazy.set_mode(mode)
+                assert mixer.spec_intermediates() == lazy.spec_intermediates()
+
+    def test_single_design_stays_on_the_scalar_path(self):
+        mixer = ReconfigurableMixer(MixerDesign())
+        assert presolve_cells([("solo", mixer, MixerMode.PASSIVE)]) == 0
+        assert not mixer.transconductor_for(MixerMode.PASSIVE).bias_solved
+
+    def test_solved_stages_are_skipped(self):
+        designs = _mc_designs(3, seed=6)
+        mixers = _presolved(designs, _BOTH_MODES)
+        assert presolve_cells((f"d{index}", mixer, mode)
+                              for index, mixer in enumerate(mixers)
+                              for mode in _BOTH_MODES) == 0
+
+    def test_divergent_degeneration_names_only_its_label(self):
+        design = MixerDesign()
+        bad = replace(design, degeneration_resistance=1e6)
+        with pytest.raises(RuntimeError) as scalar:
+            _scalar_stage(bad, MixerMode.PASSIVE).taylor_coefficients()
+        mixers = [ReconfigurableMixer(record)
+                  for record in (design, bad, replace(design, tca_gm=0.016))]
+        labels = ["good-0", "runaway", "good-1"]
+        with pytest.raises(RuntimeError) as block:
+            presolve_cells((label, mixer, mode)
+                           for label, mixer in zip(labels, mixers)
+                           for mode in _BOTH_MODES)
+        message = str(block.value)
+        assert message == f"runaway: {scalar.value}"
+        assert "failed to converge" in message
+        assert "good-0" not in message and "good-1" not in message
+
+    def test_unreachable_bias_names_only_its_label(self):
+        design = MixerDesign()
+        stages = [TransconductanceAmplifier(design) for _ in range(3)]
+        sliver = Mosfet.nmos(1e-9, design.gm_device_length)
+        stages[1].seed_device(sliver)
+        reference = TransconductanceAmplifier(design)
+        reference.seed_device(sliver)
+        with pytest.raises(ValueError) as scalar:
+            reference.bias_point
+        with pytest.raises(ValueError) as block:
+            solve_gm_block(stages, ["wide-0", "sliver", "wide-1"])
+        message = str(block.value)
+        assert message == f"sliver: {scalar.value}"
+        assert "wide-0" not in message and "wide-1" not in message
+
+    def test_label_count_mismatch(self):
+        with pytest.raises(ValueError, match="labels"):
+            solve_gm_block([TransconductanceAmplifier(MixerDesign())], [])
+
+
+#: ``Mosfet.operating_point`` calls of a default-grid ``yield_opt`` search
+#: (3 generations x 8 candidates x 16 corners = 384 corner designs, both
+#: modes): 73,993+ while every cell bisected its bias and iterated its
+#: Taylor expansion through the scalar device, 2 per corner design with
+#: the block solver.
+_YIELD_OPT_CORNER_DESIGNS = 384
+_YIELD_OPT_OPERATING_POINT_CALLS = 768
+
+
+def test_default_yield_opt_device_evaluations(monkeypatch):
+    from repro.optimize import run_yield_opt
+    calls = _count_calls(monkeypatch, "operating_point")
+    bisections = _count_calls(monkeypatch, "vgs_for_current")
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
+    run_yield_opt()
+    assert bisections == []
+    assert len(calls) == _YIELD_OPT_OPERATING_POINT_CALLS
+    assert len(calls) <= 2 * _YIELD_OPT_CORNER_DESIGNS

@@ -8,7 +8,10 @@ live beside each engine's other tests.
 from __future__ import annotations
 
 import errno
+import hashlib
 import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,6 +48,51 @@ class TestFingerprint:
         payload = design.canonical_dict()
         assert payload["technology"]["vth_n"] == design.technology.vth_n
         assert payload["load_resistance"] == design.load_resistance
+
+
+def _fingerprint_in_worker(design: MixerDesign) -> tuple[str | None, str]:
+    """(memo the worker received, fingerprint it reports)."""
+    return design.__dict__.get("_fingerprint"), design.fingerprint()
+
+
+class TestFingerprintMemo:
+    """The per-instance fingerprint memo changes nothing observable."""
+
+    def test_memo_equals_a_fresh_hash(self):
+        design = MixerDesign(load_resistance=3.47e3)
+        memo = design.fingerprint()
+        fresh = hashlib.sha256(json.dumps(
+            design.canonical_dict(), sort_keys=True,
+            separators=(",", ":")).encode("utf-8")).hexdigest()
+        assert memo == fresh
+        assert design.fingerprint() is memo
+
+    def test_replace_hashes_afresh(self, design):
+        design.fingerprint()
+        moved = replace(design, tca_gm=design.tca_gm * 1.01)
+        assert "_fingerprint" not in moved.__dict__
+        assert moved.fingerprint() != design.fingerprint()
+        assert replace(moved, tca_gm=design.tca_gm).fingerprint() == \
+            design.fingerprint()
+
+    def test_pickled_to_a_shard_worker_keeps_the_value(self):
+        design = MixerDesign(feedback_resistance=3.8e3)
+        expected = design.fingerprint()
+        assert pickle.loads(pickle.dumps(design)).__dict__["_fingerprint"] \
+            == expected
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            received, reported = pool.submit(_fingerprint_in_worker,
+                                             design).result()
+        assert received == expected and reported == expected
+
+    def test_equality_and_hash_unaffected(self):
+        memoized, plain = MixerDesign(), MixerDesign()
+        memoized.fingerprint()
+        assert "_fingerprint" in memoized.__dict__
+        assert "_fingerprint" not in plain.__dict__
+        assert memoized == plain and hash(memoized) == hash(plain)
+        assert memoized.canonical_dict() == plain.canonical_dict()
+        assert repr(memoized) == repr(plain)
 
 
 class TestRunnerIntegration:

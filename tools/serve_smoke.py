@@ -35,6 +35,12 @@ request shapes:
   ``--coalesce-window-ms`` on, the merged responses must match solo
   in-process submits, and ``GET /v1/metrics`` must report the coalescing
   counters (coalesced batches, batch-size histogram, singleflight hits);
+* ``POST /v1/batch`` with ``workers: 2`` over a four-design ``table1`` +
+  ``fig10`` population, cold and then warm, vs solo in-process submits —
+  each shard solves its designs as one Gm-stage block, and the server's
+  ``--spec-cache`` directory must serve the warm pass (from a second,
+  freshly booted server, so the response cache cannot answer it) without
+  writing a single new cell;
 * ``GET /v1/metrics`` — the latency/counter snapshot must account for the
   traffic this script just generated.
 
@@ -54,8 +60,10 @@ from __future__ import annotations
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.error
 import urllib.request
@@ -80,12 +88,13 @@ YIELD_GRID: dict = {
 COALESCE_WINDOW_MS = 150.0
 
 
-def start_server(env: dict) -> tuple[subprocess.Popen, str]:
+def start_server(env: dict,
+                 spec_cache: str) -> tuple[subprocess.Popen, str]:
     """Boot ``python -m repro.serve --port 0`` and parse its bound address."""
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--port", "0",
          "--coalesce-window-ms", str(COALESCE_WINDOW_MS),
-         "--max-coalesce", "8"],
+         "--max-coalesce", "8", "--spec-cache", spec_cache],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         cwd=REPO_ROOT, env=env)
     assert process.stdout is not None
@@ -444,6 +453,79 @@ def check_coalescing(base_url: str) -> int:
     return 0
 
 
+def _engine_cache_requests() -> list[dict]:
+    """Four designs (two per shard at ``workers: 2``), table1 and fig10."""
+    from repro.api import SpecRequest
+    from repro.core.config import MixerDesign
+    from repro.sweep.montecarlo import DeviceSpread, sample_design
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    nominal = MixerDesign()
+    population = [nominal] + [
+        sample_design(nominal, rng, DeviceSpread(), f"cells-{index}")
+        for index in range(3)
+    ]
+    requests = [SpecRequest(experiment="table1", design=design)
+                for design in population]
+    requests += [SpecRequest(experiment="fig10", design=design,
+                             grid={"input_powers_dbm": WAVEFORM_POWERS})
+                 for design in population]
+    return [request.to_dict() for request in requests]
+
+
+def _cache_cells(spec_cache: str) -> int:
+    return sum(1 for path in Path(spec_cache).rglob("*") if path.is_file())
+
+
+def check_engine_cache_batch(base_url: str, spec_cache: str,
+                             pass_name: str) -> int:
+    """One sharded /v1/batch over the engine cache vs solo submits.
+
+    The cold pass must write cells; the warm pass must write none.
+    """
+    from repro.api import MixerService, SpecRequest
+
+    requests = _engine_cache_requests()
+    cells_before = _cache_cells(spec_cache)
+    served = post_json(base_url + "/v1/batch",
+                       {"requests": [dict(request, workers=2)
+                                     for request in requests]})
+    responses = served.get("responses", [])
+    if len(responses) != len(requests):
+        print(f"FAIL: {pass_name} engine-cache batch returned "
+              f"{len(responses)} responses for {len(requests)} requests",
+              file=sys.stderr)
+        return 1
+    solo = MixerService(response_cache=False)
+    for index, (request, response) in enumerate(zip(requests, responses)):
+        expected = solo.submit(SpecRequest.from_dict(request)).to_dict()
+        if response["result"] != expected["result"]:
+            print(f"FAIL: {pass_name} engine-cache batch response #{index} "
+                  f"({request['experiment']}) differs from a solo submit",
+                  file=sys.stderr)
+            return 1
+    written = _cache_cells(spec_cache) - cells_before
+    if (written > 0) != (pass_name == "cold"):
+        print(f"FAIL: {pass_name} engine-cache batch wrote {written} cache "
+              "cell(s)", file=sys.stderr)
+        return 1
+    print(f"serve smoke OK: {pass_name} /v1/batch (workers 2) over the "
+          f"engine cache is bit-identical to solo submits "
+          f"[{written} new cell(s)]")
+    return 0
+
+
+def check_warm_engine_cache(env: dict, spec_cache: str) -> int:
+    """The same batch from a fresh server over the now-warm engine cache."""
+    process, base_url = start_server(env, spec_cache)
+    try:
+        wait_healthy(base_url)
+        return check_engine_cache_batch(base_url, spec_cache, "warm")
+    finally:
+        stop_server(process)
+
+
 def check_metrics(base_url: str) -> int:
     """The metrics snapshot must account for the traffic generated above."""
     snapshot = get_json(base_url + "/v1/metrics")
@@ -481,26 +563,39 @@ def main() -> int:
                                if env.get("PYTHONPATH") else "")
     sys.path.insert(0, src)
 
-    process, base_url = start_server(env)
-    try:
-        wait_healthy(base_url)
-        status = check_fig8_spec(base_url)
-        status = status or check_p1db_spec(base_url)
-        status = status or check_batch_population(base_url)
-        status = status or check_waveform_batch(base_url)
-        status = status or check_digital_if(base_url)
-        status = status or check_yield_opt(base_url)
-        status = status or check_yield_pareto(base_url)
-        status = status or check_jobs_async(base_url)
-        status = status or check_coalescing(base_url)
-        status = status or check_metrics(base_url)
-        return status
-    finally:
-        process.terminate()
+    with tempfile.TemporaryDirectory(prefix="serve-smoke-cells-") \
+            as spec_cache:
+        process, base_url = start_server(env, spec_cache)
         try:
-            process.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            process.kill()
+            wait_healthy(base_url)
+            status = check_engine_cache_batch(base_url, spec_cache, "cold")
+            status = status or check_fig8_spec(base_url)
+            status = status or check_p1db_spec(base_url)
+            status = status or check_batch_population(base_url)
+            status = status or check_waveform_batch(base_url)
+            status = status or check_digital_if(base_url)
+            status = status or check_yield_opt(base_url)
+            status = status or check_yield_pareto(base_url)
+            status = status or check_jobs_async(base_url)
+            status = status or check_coalescing(base_url)
+            status = status or check_metrics(base_url)
+        finally:
+            stop_server(process)
+        return status or check_warm_engine_cache(env, spec_cache)
+
+
+def stop_server(process: subprocess.Popen) -> None:
+    """Interrupt the server so it closes its process pool, then reap it.
+
+    SIGTERM would kill the server alone and orphan the pool workers that
+    the ``workers: 2`` batches started.
+    """
+    process.send_signal(signal.SIGINT)
+    try:
+        process.wait(timeout=10)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait(timeout=10)
 
 
 if __name__ == "__main__":
