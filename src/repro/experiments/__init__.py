@@ -63,20 +63,22 @@ example: a random device-parameter spread over a sampled design axis.
 Service layer
 -------------
 
-Each driver module also **registers itself** into the experiment registry
-(:mod:`repro.api.registry`) with its paper artefact, default grid, result
-schema and text reporter, so importing this package is what populates
+Each driver module **registers itself** into the experiment registry
+(:mod:`repro.api.registry`), so importing this package is what populates
 :func:`repro.api.default_registry`.  The registry is how the unified API
 (:class:`repro.api.MixerService`, ``python -m repro.serve``,
 ``python -m repro.cli``) dispatches "evaluate this design against Fig. 8"
-as one typed request; the ``run_*`` functions below stay the thin, direct
-entry points and the service's responses are bit-identical to them.  The
-shared ``design``/``workers``/``cache`` handling lives in
-:mod:`repro.experiments.common`; the engine-backed drivers additionally
-expose a ``sweep_*`` batch variant evaluating many designs as one design
-axis (``sweep_fig8`` / ``sweep_fig9`` / ``sweep_table1``, the waveform
-benches ``sweep_fig10`` / ``sweep_iip2`` / ``sweep_p1db`` and the digital
-benches ``sweep_digital_if`` / ``sweep_bits_floor``).
+as one typed request.  An engine-backed driver declares one batch function
+evaluating many designs as one design axis (``sweep_fig8`` /
+``sweep_fig9`` / ``sweep_table1``, the waveform benches ``sweep_fig10`` /
+``sweep_iip2`` / ``sweep_p1db`` and the digital benches
+``sweep_digital_if`` / ``sweep_bits_floor``); its grid defaults and
+options are stated once, in that signature.  ``register_experiment``
+derives the solo runner from it, which the driver binds as ``run_<x>``:
+a one-member batch, so the ``run_*`` functions below, every batch member
+and the service's responses are bit-identical.  The shared
+``design``/``workers``/``cache`` handling lives in
+:mod:`repro.experiments.common`.
 
 The corner-aware yield optimiser (:mod:`repro.optimize`) registers here as
 the ``yield_opt`` experiment: a seeded search over the design knobs for

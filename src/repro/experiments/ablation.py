@@ -261,8 +261,6 @@ register_experiment(
     runner=run_ablation,
     result_type=AblationResult,
     report=format_report,
-    accepts_workers=False,
-    accepts_cache=False,
     payload_types=(DegenerationAblation, LoadFlatnessAblation,
                    TiaGatingAblation, CornerPoint),
 )

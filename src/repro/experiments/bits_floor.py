@@ -38,7 +38,7 @@ from repro.digital import (
     ParallelDigitalRunner,
     digital_if_plan,
 )
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
 
@@ -119,35 +119,6 @@ def _first_meeting(candidates: np.ndarray, noise_dbm: np.ndarray,
     return float(candidates[meets[0]]) if meets.size else math.nan
 
 
-def run_bits_floor(design: MixerDesign | None = None,
-                   lo_frequency_hz: float = ghz(2.4),
-                   rf_frequency_hz: float = ghz(2.4) + mhz(5.0),
-                   input_power_dbm: float = -40.0,
-                   margin_db: float = 10.0,
-                   adc_candidates: Sequence[int] = DEFAULT_ADC_CANDIDATES,
-                   lo_candidates: Sequence[int] = DEFAULT_LO_CANDIDATES,
-                   output_candidates: Sequence[int] =
-                   DEFAULT_OUTPUT_CANDIDATES,
-                   workers: int | None = None,
-                   cache: SpecCache | str | bool | None = None
-                   ) -> BitsFloorResult:
-    """Find the minimum transparent digital widths for one design.
-
-    ``workers`` / ``cache`` plug in the sharded runners and on-disk caches
-    of every engine involved; with a warm cache the whole three-axis scan
-    performs zero quantization passes.
-    """
-    return sweep_bits_floor({"nominal": resolve_design(design)},
-                            lo_frequency_hz=lo_frequency_hz,
-                            rf_frequency_hz=rf_frequency_hz,
-                            input_power_dbm=input_power_dbm,
-                            margin_db=margin_db,
-                            adc_candidates=adc_candidates,
-                            lo_candidates=lo_candidates,
-                            output_candidates=output_candidates,
-                            workers=workers, cache=cache)["nominal"]
-
-
 def sweep_bits_floor(designs: Mapping[str, MixerDesign],
                      lo_frequency_hz: float = ghz(2.4),
                      rf_frequency_hz: float = ghz(2.4) + mhz(5.0),
@@ -166,7 +137,8 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
     digital-engine call; per-design results are bit-identical to solo
     :func:`run_bits_floor` calls.  This is the batch adapter
     :class:`~repro.api.service.MixerService` fans design populations out
-    through.
+    through.  With a warm ``cache=`` the whole three-axis scan performs
+    zero quantization passes.
     """
     if not designs:
         raise ValueError("sweep_bits_floor needs at least one design")
@@ -303,21 +275,13 @@ def format_report(result: BitsFloorResult) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_bits_floor = register_experiment(
     name="bits_floor",
     artefact="Minimum ADC/LO/output widths keeping quantization noise "
              "under the mixer's analog noise floor",
     summary="Three-axis digital width scan against the NF-derived floor",
-    runner=run_bits_floor,
     batch_runner=sweep_bits_floor,
     result_type=BitsFloorResult,
     report=format_report,
-    default_grid={"lo_frequency_hz": ghz(2.4),
-                  "rf_frequency_hz": ghz(2.4) + mhz(5.0),
-                  "input_power_dbm": -40.0,
-                  "margin_db": 10.0,
-                  "adc_candidates": list(DEFAULT_ADC_CANDIDATES),
-                  "lo_candidates": list(DEFAULT_LO_CANDIDATES),
-                  "output_candidates": list(DEFAULT_OUTPUT_CANDIDATES)},
     payload_types=(ModeBitsFloor,),
-)
+).runner

@@ -32,7 +32,7 @@ import numpy as np
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
 from repro.digital import ParallelDigitalRunner, digital_if_plan
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
 
@@ -97,30 +97,6 @@ class DigitalIfResult:
         return self.active if mode is MixerMode.ACTIVE else self.passive
 
 
-def run_digital_if(design: MixerDesign | None = None,
-                   lo_frequency_hz: float = ghz(2.4),
-                   rf_frequency_hz: float = ghz(2.4) + mhz(5.0),
-                   input_power_dbm: float = -20.0,
-                   adc_bits: Sequence[int] = DEFAULT_ADC_BITS,
-                   nco_frequency_hz: float = 3.75e6,
-                   workers: int | None = None,
-                   cache: SpecCache | str | bool | None = None
-                   ) -> DigitalIfResult:
-    """Run the quantized digital-IF chain over one design.
-
-    ``workers`` / ``cache`` plug in the sharded runners and on-disk caches
-    of every engine involved — a warm re-run performs zero sizing
-    solves, zero device evaluations and zero quantization passes.
-    """
-    return sweep_digital_if({"nominal": resolve_design(design)},
-                            lo_frequency_hz=lo_frequency_hz,
-                            rf_frequency_hz=rf_frequency_hz,
-                            input_power_dbm=input_power_dbm,
-                            adc_bits=adc_bits,
-                            nco_frequency_hz=nco_frequency_hz,
-                            workers=workers, cache=cache)["nominal"]
-
-
 def sweep_digital_if(designs: Mapping[str, MixerDesign],
                      lo_frequency_hz: float = ghz(2.4),
                      rf_frequency_hz: float = ghz(2.4) + mhz(5.0),
@@ -136,7 +112,8 @@ def sweep_digital_if(designs: Mapping[str, MixerDesign],
     call plus one analytic context sweep; per-design results are
     bit-identical to solo :func:`run_digital_if` calls.  This is the batch
     adapter :class:`~repro.api.service.MixerService` fans design
-    populations out through.
+    populations out through.  With ``cache=`` a warm re-run performs zero
+    sizing solves, zero device evaluations and zero quantization passes.
     """
     if not designs:
         raise ValueError("sweep_digital_if needs at least one design")
@@ -219,19 +196,13 @@ def format_report(result: DigitalIfResult) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_digital_if = register_experiment(
     name="digital_if",
     artefact="Quantized digital-IF chain: SNR vs ADC resolution over the "
              "mixer's sampled IF output",
     summary="Fixed-point NCO/CIC down-conversion swept over ADC bit widths",
-    runner=run_digital_if,
     batch_runner=sweep_digital_if,
     result_type=DigitalIfResult,
     report=format_report,
-    default_grid={"lo_frequency_hz": ghz(2.4),
-                  "rf_frequency_hz": ghz(2.4) + mhz(5.0),
-                  "input_power_dbm": -20.0,
-                  "adc_bits": list(DEFAULT_ADC_BITS),
-                  "nco_frequency_hz": 3.75e6},
     payload_types=(ModeDigitalIf,),
-)
+).runner

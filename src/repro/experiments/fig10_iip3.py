@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.rf.twotone import fit_intercept_point
 from repro.sweep import SpecCache
 from repro.sweep.result import SweepResult
@@ -94,29 +94,6 @@ def _mode_panel(wave: WaveformResult, analytic: SweepResult, label: str,
         oip3_dbm=fit.intercept_output_dbm,
         analytic_iip3_dbm=analytic.value("iip3_dbm", design=label, mode=mode),
     )
-
-
-def run_fig10(design: MixerDesign | None = None,
-              lo_frequency_hz: float = ghz(2.4),
-              tone_1_hz: float = ghz(2.4) + mhz(5.0),
-              tone_2_hz: float = ghz(2.4) + mhz(7.0),
-              input_powers_dbm: np.ndarray | None = None,
-              sample_rate: float = DEFAULT_SAMPLE_RATE,
-              num_samples: int = DEFAULT_NUM_SAMPLES,
-              workers: int | None = None,
-              cache: SpecCache | str | bool | None = None) -> Fig10Result:
-    """Regenerate both panels of Fig. 10 (two-tone IIP3, 2.4 GHz LO).
-
-    ``workers`` / ``cache`` apply to the analytic reference sweep *and* the
-    waveform bench: a warm cache skips the sizing solves and serves the
-    measured spectra without a single FFT evaluation.
-    """
-    return sweep_fig10({"nominal": resolve_design(design)},
-                       lo_frequency_hz=lo_frequency_hz,
-                       tone_1_hz=tone_1_hz, tone_2_hz=tone_2_hz,
-                       input_powers_dbm=input_powers_dbm,
-                       sample_rate=sample_rate, num_samples=num_samples,
-                       workers=workers, cache=cache)["nominal"]
 
 
 def sweep_fig10(designs: Mapping[str, MixerDesign],
@@ -191,19 +168,12 @@ def format_report(result: Fig10Result) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_fig10 = register_experiment(
     name="fig10",
     artefact="Fig. 10(a)/(b) — two-tone IIP3 of both modes",
     summary="Waveform-level two-tone intercept construction, both panels",
-    runner=run_fig10,
     batch_runner=sweep_fig10,
     result_type=Fig10Result,
     report=format_report,
-    default_grid={"lo_frequency_hz": ghz(2.4),
-                  "tone_1_hz": ghz(2.4) + mhz(5.0),
-                  "tone_2_hz": ghz(2.4) + mhz(7.0),
-                  "input_powers_dbm": None,
-                  "sample_rate": DEFAULT_SAMPLE_RATE,
-                  "num_samples": DEFAULT_NUM_SAMPLES},
     payload_types=(ModeIip3Result,),
-)
+).runner

@@ -9,7 +9,7 @@ The sweep itself runs on the vectorized engine (:mod:`repro.sweep`): one
 :class:`~repro.sweep.runner.SweepRunner` call evaluates both modes over the
 whole RF grid as array maths, and the curves are read off the labelled
 result.  To sweep a different grid or more modes/designs, widen the axes in
-:func:`run_fig8`'s ``runner.run`` call — see :mod:`repro.sweep` for the
+:func:`sweep_fig8`'s ``runner.run`` call — see :mod:`repro.sweep` for the
 scenario recipe; ``workers=`` / ``cache=`` plug in the parallel runner and
 the on-disk spec cache.
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
 
@@ -66,26 +66,6 @@ class Fig8Result:
         return float(series[index])
 
 
-def run_fig8(design: MixerDesign | None = None,
-             rf_start_hz: float = ghz(0.3), rf_stop_hz: float = ghz(7.0),
-             points: int = 200, if_frequency_hz: float = mhz(5.0),
-             workers: int | None = None,
-             cache: SpecCache | str | bool | None = None) -> Fig8Result:
-    """Regenerate the Fig. 8 sweep.
-
-    Parameters mirror the paper's axis: RF from (just below) 0.5 GHz to
-    7 GHz at 5 MHz IF.  ``workers`` / ``cache`` select the parallel runner
-    and the on-disk spec cache (both off by default); with a single design
-    the sweep runs inline either way, but a warm cache still skips the
-    sizing solves.
-    """
-    return sweep_fig8({"nominal": resolve_design(design)},
-                      rf_start_hz=rf_start_hz,
-                      rf_stop_hz=rf_stop_hz, points=points,
-                      if_frequency_hz=if_frequency_hz, workers=workers,
-                      cache=cache)["nominal"]
-
-
 def sweep_fig8(designs: Mapping[str, MixerDesign],
                rf_start_hz: float = ghz(0.3), rf_stop_hz: float = ghz(7.0),
                points: int = 200, if_frequency_hz: float = mhz(5.0),
@@ -100,6 +80,11 @@ def sweep_fig8(designs: Mapping[str, MixerDesign],
     engine fills every (design, mode) cell independently).  This is the
     batch adapter :class:`~repro.api.service.MixerService` fans design
     populations out through.
+
+    The defaults mirror the paper's axis: RF from (just below) 0.5 GHz to
+    7 GHz at 5 MHz IF.  ``workers`` / ``cache`` select the parallel runner
+    and the on-disk spec cache (both off by default); a single design runs
+    inline either way, but a warm cache still skips the sizing solves.
     """
     if points < 10:
         raise ValueError("use at least 10 sweep points")
@@ -142,14 +127,11 @@ def format_report(result: Fig8Result) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_fig8 = register_experiment(
     name="fig8",
     artefact="Fig. 8 — conversion gain vs RF frequency",
     summary="Voltage conversion gain of both modes over the RF band",
-    runner=run_fig8,
     batch_runner=sweep_fig8,
     result_type=Fig8Result,
     report=format_report,
-    default_grid={"rf_start_hz": ghz(0.3), "rf_stop_hz": ghz(7.0),
-                  "points": 200, "if_frequency_hz": mhz(5.0)},
-)
+).runner

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.rf.noise_figure import flicker_corner_from_nf
 from repro.sweep import SpecCache
 from repro.units import ghz, khz, mhz
@@ -59,22 +59,6 @@ class Fig9Result:
         """1/f corner read off the swept NF curve (3 dB above the floor)."""
         return flicker_corner_from_nf(self.if_frequencies_hz,
                                       self._series(mode, "nf"))
-
-
-def run_fig9(design: MixerDesign | None = None,
-             if_start_hz: float = khz(10.0), if_stop_hz: float = mhz(100.0),
-             points: int = 200, rf_frequency_hz: float = ghz(2.45),
-             workers: int | None = None,
-             cache: SpecCache | str | bool | None = None) -> Fig9Result:
-    """Regenerate the Fig. 9 sweep (NF and gain vs IF at 2.45 GHz RF).
-
-    ``workers`` / ``cache`` select the parallel runner and the on-disk spec
-    cache, as for every sweep entry point.
-    """
-    return sweep_fig9({"nominal": resolve_design(design)},
-                      if_start_hz=if_start_hz, if_stop_hz=if_stop_hz,
-                      points=points, rf_frequency_hz=rf_frequency_hz,
-                      workers=workers, cache=cache)["nominal"]
 
 
 def sweep_fig9(designs: Mapping[str, MixerDesign],
@@ -135,14 +119,11 @@ def format_report(result: Fig9Result) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_fig9 = register_experiment(
     name="fig9",
     artefact="Fig. 9 — NF and conversion gain vs IF frequency",
     summary="DSB noise figure and gain of both modes across the IF band",
-    runner=run_fig9,
     batch_runner=sweep_fig9,
     result_type=Fig9Result,
     report=format_report,
-    default_grid={"if_start_hz": khz(10.0), "if_stop_hz": mhz(100.0),
-                  "points": 200, "rf_frequency_hz": ghz(2.45)},
-)
+).runner

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.experiments.fig10_iip3 import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RATE
 from repro.rf.twotone import fit_intercept_point
 from repro.sweep import SpecCache
@@ -72,29 +72,6 @@ class Iip2Result:
         return self.active.meets_paper_floor and self.passive.meets_paper_floor
 
 
-def run_iip2(design: MixerDesign | None = None,
-             lo_frequency_hz: float = ghz(2.4),
-             tone_1_hz: float = ghz(2.4) + mhz(5.0),
-             tone_2_hz: float = ghz(2.4) + mhz(7.0),
-             input_powers_dbm: np.ndarray | None = None,
-             sample_rate: float = DEFAULT_SAMPLE_RATE,
-             num_samples: int = DEFAULT_NUM_SAMPLES,
-             workers: int | None = None,
-             cache: SpecCache | str | bool | None = None) -> Iip2Result:
-    """Measure the IIP2 of both modes with the two-tone waveform bench.
-
-    ``workers`` / ``cache`` plug in the sharded runners and the on-disk
-    caches of both engines — a warm re-run performs zero sizing solves
-    and zero FFT evaluations.
-    """
-    return sweep_iip2({"nominal": resolve_design(design)},
-                      lo_frequency_hz=lo_frequency_hz, tone_1_hz=tone_1_hz,
-                      tone_2_hz=tone_2_hz,
-                      input_powers_dbm=input_powers_dbm,
-                      sample_rate=sample_rate, num_samples=num_samples,
-                      workers=workers, cache=cache)["nominal"]
-
-
 def sweep_iip2(designs: Mapping[str, MixerDesign],
                lo_frequency_hz: float = ghz(2.4),
                tone_1_hz: float = ghz(2.4) + mhz(5.0),
@@ -111,7 +88,8 @@ def sweep_iip2(designs: Mapping[str, MixerDesign],
     call plus one analytic reference sweep; per-design results are
     bit-identical to solo :func:`run_iip2` calls.  This is the batch adapter
     :class:`~repro.api.service.MixerService` fans design populations out
-    through.
+    through.  With ``cache=`` a warm re-run performs zero sizing solves and
+    zero FFT evaluations.
     """
     if not designs:
         raise ValueError("sweep_iip2 needs at least one design")
@@ -162,19 +140,12 @@ def format_report(result: Iip2Result) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_iip2 = register_experiment(
     name="iip2",
     artefact="Section IV text — IIP2 > 65 dBm for both modes",
     summary="Two-tone IM2 measurement against the paper's 65 dBm floor",
-    runner=run_iip2,
     batch_runner=sweep_iip2,
     result_type=Iip2Result,
     report=format_report,
-    default_grid={"lo_frequency_hz": ghz(2.4),
-                  "tone_1_hz": ghz(2.4) + mhz(5.0),
-                  "tone_2_hz": ghz(2.4) + mhz(7.0),
-                  "input_powers_dbm": None,
-                  "sample_rate": DEFAULT_SAMPLE_RATE,
-                  "num_samples": DEFAULT_NUM_SAMPLES},
     payload_types=(ModeIip2Result,),
-)
+).runner

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.experiments.fig10_iip3 import DEFAULT_NUM_SAMPLES, DEFAULT_SAMPLE_RATE
 from repro.rf.compression import compression_from_gains
 from repro.sweep import SpecCache
@@ -82,30 +82,6 @@ class P1dbResult:
         return self.active.compression_found and self.passive.compression_found
 
 
-def run_p1db(design: MixerDesign | None = None,
-             lo_frequency_hz: float = ghz(2.4),
-             rf_frequency_hz: float = ghz(2.4) + mhz(5.0),
-             input_powers_dbm: np.ndarray | None = None,
-             sample_rate: float = DEFAULT_SAMPLE_RATE,
-             num_samples: int = DEFAULT_NUM_SAMPLES,
-             workers: int | None = None,
-             cache: SpecCache | str | bool | None = None) -> P1dbResult:
-    """Measure the input 1 dB compression point of both modes.
-
-    The default power sweep (-40 to -8 dBm in 2 dB steps) reaches
-    compression in both modes at the paper's operating point; ``workers`` /
-    ``cache`` plug in the sharded runners and on-disk caches of both
-    engines — a warm re-run performs zero sizing solves and zero FFT
-    evaluations.
-    """
-    return sweep_p1db({"nominal": resolve_design(design)},
-                      lo_frequency_hz=lo_frequency_hz,
-                      rf_frequency_hz=rf_frequency_hz,
-                      input_powers_dbm=input_powers_dbm,
-                      sample_rate=sample_rate, num_samples=num_samples,
-                      workers=workers, cache=cache)["nominal"]
-
-
 def sweep_p1db(designs: Mapping[str, MixerDesign],
                lo_frequency_hz: float = ghz(2.4),
                rf_frequency_hz: float = ghz(2.4) + mhz(5.0),
@@ -122,6 +98,11 @@ def sweep_p1db(designs: Mapping[str, MixerDesign],
     bit-identical to solo :func:`run_p1db` calls.  This is the batch
     adapter :class:`~repro.api.service.MixerService` fans design
     populations out through.
+
+    The default power sweep (-40 to -8 dBm in 2 dB steps) reaches
+    compression in both modes at the paper's operating point.  With
+    ``cache=`` a warm re-run performs zero sizing solves and zero FFT
+    evaluations.
     """
     if not designs:
         raise ValueError("sweep_p1db needs at least one design")
@@ -194,18 +175,12 @@ def format_report(result: P1dbResult) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+run_p1db = register_experiment(
     name="p1db",
     artefact="Table I — input 1 dB compression point of both modes",
     summary="Waveform-level compression sweep against the analytic P1dB",
-    runner=run_p1db,
     batch_runner=sweep_p1db,
     result_type=P1dbResult,
     report=format_report,
-    default_grid={"lo_frequency_hz": ghz(2.4),
-                  "rf_frequency_hz": ghz(2.4) + mhz(5.0),
-                  "input_powers_dbm": None,
-                  "sample_rate": DEFAULT_SAMPLE_RATE,
-                  "num_samples": DEFAULT_NUM_SAMPLES},
     payload_types=(ModeP1dbResult,),
-)
+).runner

@@ -83,7 +83,5 @@ register_experiment(
     runner=run_power_budget,
     result_type=PowerBudgetResult,
     report=format_report,
-    accepts_workers=False,
-    accepts_cache=False,
     payload_types=(PowerBreakdown,),
 )

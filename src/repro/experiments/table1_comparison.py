@@ -34,7 +34,7 @@ from repro.core.config import (
     PAPER_TARGETS_PASSIVE,
 )
 from repro.core.reconfigurable_mixer import MixerSpecs
-from repro.experiments.common import design_and_runner, resolve_design
+from repro.experiments.common import design_and_runner
 from repro.sweep import ALL_SPECS, SpecCache
 from repro.sweep.result import SweepResult
 
@@ -113,19 +113,6 @@ def _specs_from_sweep(sweep: SweepResult, mode: MixerMode,
     )
 
 
-def run_table1(design: MixerDesign | None = None,
-               workers: int | None = None,
-               cache: SpecCache | str | bool | None = None) -> Table1Result:
-    """Regenerate Table I (this work in both modes plus the eight references).
-
-    ``workers`` / ``cache`` select the parallel runner and the on-disk spec
-    cache; the spot sweep has a single design, so ``cache`` is the one that
-    pays here (a warm entry skips both modes' sizing solves).
-    """
-    return sweep_table1({"nominal": resolve_design(design)},
-                        workers=workers, cache=cache)["nominal"]
-
-
 def sweep_table1(designs: Mapping[str, MixerDesign],
                  workers: int | None = None,
                  cache: SpecCache | str | bool | None = None
@@ -136,7 +123,9 @@ def sweep_table1(designs: Mapping[str, MixerDesign],
     axis per spot grid — the sweep grid is the operating point, so designs
     tuned to different frequencies are grouped rather than forced onto one
     grid.  Per-design tables are bit-identical to solo :func:`run_table1`
-    calls; ``workers=`` shards each group across processes.
+    calls; ``workers=`` shards each group across processes.  For a single
+    design ``cache`` is the option that pays (a warm entry skips both
+    modes' sizing solves).
     """
     if not designs:
         raise ValueError("sweep_table1 needs at least one design")
@@ -203,13 +192,12 @@ def format_report(result: Table1Result) -> str:
     return "\n".join(out)
 
 
-register_experiment(
+run_table1 = register_experiment(
     name="table1",
     artefact="Table I — comparison with published designs",
     summary="Every headline spec of both modes plus the reference columns",
-    runner=run_table1,
     batch_runner=sweep_table1,
     result_type=Table1Result,
     report=format_report,
     payload_types=(MixerSpecs,),
-)
+).runner

@@ -128,8 +128,4 @@ register_experiment(
     runner=run_tia_response,
     result_type=TiaResponseResult,
     report=format_report,
-    default_grid={"f_start_hz": khz(10.0), "f_stop_hz": mhz(50.0),
-                  "points": 60},
-    accepts_workers=False,
-    accepts_cache=False,
 )

@@ -26,7 +26,8 @@ round-trips every double exactly; asserted in ``tests/test_serve.py`` and
 by the CI serve-smoke job) while a saturated queue sheds load with ``429``
 instead of queueing unboundedly.  Request errors map to ``400`` with a
 JSON body naming the problem, a body over :data:`MAX_BODY_BYTES` to
-``413``; unknown paths to ``404``.
+``413``, a body stalled past :data:`CLIENT_TIMEOUT_S` to ``408``; unknown
+paths to ``404``.
 """
 
 from __future__ import annotations
@@ -57,9 +58,17 @@ from repro.sweep.parallel import set_pool_reuse, shutdown_shared_pools
 #: thousand-request batch fits comfortably — this only stops abuse).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Seconds a socket read from a client may stall (request line, headers,
+#: body, next keep-alive request) before the handler thread drops it.
+CLIENT_TIMEOUT_S = 30.0
+
 
 class PayloadTooLargeError(RequestValidationError):
     """A request body over :data:`MAX_BODY_BYTES`: answered ``413``."""
+
+
+class BodyTimeoutError(Exception):
+    """A body stalled past :data:`CLIENT_TIMEOUT_S`: answered ``408``."""
 
 
 class SpecHTTPServer(ThreadingHTTPServer):
@@ -106,6 +115,9 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/3"
     server: SpecHTTPServer
+    # http.server closes a connection stalled in its headers; a stalled
+    # body is answered 408 (see _read_json_body).
+    timeout = CLIENT_TIMEOUT_S
 
     # -- plumbing -------------------------------------------------------------
 
@@ -151,7 +163,12 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             raise PayloadTooLargeError(
                 f"request body exceeds {MAX_BODY_BYTES} bytes")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise BodyTimeoutError(
+                f"request body not received within {self.timeout} s") \
+                from None
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -196,6 +213,9 @@ class SpecRequestHandler(BaseHTTPRequestHandler):
             # another request.
             self.close_connection = True
             status = self._fail(413, str(error))
+        except BodyTimeoutError as error:
+            self.close_connection = True  # the body is half read
+            status = self._fail(408, str(error))
         except RequestValidationError as error:
             status = self._fail(400, str(error))
         except JobQueueFullError as error:

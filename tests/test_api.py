@@ -14,6 +14,7 @@ The load-bearing guarantees, straight from the acceptance bar:
 from __future__ import annotations
 
 import errno
+import inspect
 import json
 import os
 from dataclasses import replace
@@ -21,13 +22,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.experiments
 from repro.api import (
     MixerService,
     RequestValidationError,
     ResponseCache,
     SpecRequest,
     SpecResponse,
+    encode,
 )
+from repro.api.registry import GLOBAL_REGISTRY, register_experiment
 from repro.api.response_cache import RESPONSE_CACHE_VERSION
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.transconductance import sizing_solve_count
@@ -35,6 +39,12 @@ from repro.experiments import run_fig8, sweep_fig8
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
 from api_test_helpers import EXPERIMENT_NAMES, SMALL_GRIDS, small_request
+
+
+#: The engine-backed experiments: each declares a ``sweep_*`` batch
+#: function and gets its ``run_*`` solo runner derived from it.
+BATCHABLE = ["fig8", "fig9", "fig10", "table1", "iip2", "p1db",
+             "digital_if", "bits_floor"]
 
 
 @pytest.fixture(scope="module")
@@ -61,9 +71,56 @@ class TestRegistry:
     def test_engine_backed_experiments_are_batchable(self, registry):
         batchable = {spec.name for spec in registry
                      if spec.batch_runner is not None}
-        assert batchable == {"fig8", "fig9", "table1",
-                             "fig10", "iip2", "p1db",
-                             "digital_if", "bits_floor"}
+        assert batchable == set(BATCHABLE)
+
+    @pytest.mark.parametrize("name", BATCHABLE)
+    def test_derived_runner_signature(self, name, registry):
+        spec = registry.get(name)
+        runner = getattr(repro.experiments, f"run_{name}")
+        assert runner is spec.runner
+        assert runner.__name__ == f"run_{name}"
+        assert list(inspect.signature(runner).parameters) == \
+            ["design", *spec.default_grid, "workers", "cache"]
+        assert spec.accepts_workers and spec.accepts_cache
+
+    @pytest.mark.parametrize("name", BATCHABLE)
+    def test_derived_runner_rejects_bad_arguments(self, name, registry):
+        spec = registry.get(name)
+        with pytest.raises(TypeError, match="MixerDesign"):
+            spec.runner(MixerDesign().to_dict())
+        with pytest.raises(TypeError, match="bogus"):
+            spec.runner(bogus=1)
+
+    @pytest.mark.parametrize("name", BATCHABLE)
+    def test_derived_runner_is_a_one_member_batch(self, name, registry,
+                                                  direct_payloads):
+        # run_x() runs the paper design; run_x(d) equals d's member of a
+        # two-design batch call.
+        spec = registry.get(name)
+        other = replace(MixerDesign(), load_resistance=3.5e3)
+        batch = spec.batch_runner({"paper": MixerDesign(), "other": other},
+                                  **SMALL_GRIDS[name])
+        assert encode(spec.runner(**SMALL_GRIDS[name])) == \
+            encode(batch["paper"]) == direct_payloads(name)
+        assert encode(spec.runner(other, **SMALL_GRIDS[name])) == \
+            encode(batch["other"])
+
+    def test_register_rejects_a_grid_parameter_without_default(self):
+        def sweep_bad(designs, points, workers=None, cache=None):
+            raise AssertionError("never called")
+
+        with pytest.raises(TypeError, match="'points'"):
+            register_experiment(name="bad", artefact="-", summary="-",
+                                batch_runner=sweep_bad, result_type=dict,
+                                report=str)
+        assert "bad" not in GLOBAL_REGISTRY
+
+    def test_register_needs_exactly_one_runner(self):
+        for runners in ({}, {"runner": run_fig8, "batch_runner": sweep_fig8}):
+            with pytest.raises(TypeError, match="exactly one"):
+                register_experiment(name="bad", artefact="-", summary="-",
+                                    result_type=dict, report=str, **runners)
+        assert "bad" not in GLOBAL_REGISTRY
 
     def test_circuit_checks_reject_engine_options(self, registry):
         # The waveform benches now ride the engines (workers/cache apply);

@@ -24,6 +24,7 @@ from repro.api import MixerService, encode
 from repro.cli import main as cli_main
 from repro.core.config import MixerDesign
 from repro.serve import (
+    CLIENT_TIMEOUT_S,
     MAX_BODY_BYTES,
     SpecRequestHandler,
     create_server,
@@ -436,6 +437,63 @@ class TestHttpErrorMapping:
         assert "exceeds" in json.loads(body)["error"]
         # The server keeps serving after refusing the body.
         assert get_json(base_url + "/v1/health") == {"status": "ok"}
+
+    @pytest.fixture()
+    def short_client_timeout(self, monkeypatch):
+        """Shrink the shipped handler timeout so a stall resolves fast."""
+        assert SpecRequestHandler.timeout == CLIENT_TIMEOUT_S > 0
+        monkeypatch.setattr(SpecRequestHandler, "timeout", 0.3)
+
+    @staticmethod
+    def _stall(url: str, head: bytes) -> bytes:
+        """Send ``head``, go silent, and return what arrives before close.
+
+        The health probe runs while the stalled connection is still open:
+        one stalled client must not keep the server from answering others.
+        """
+        host, port = url.removeprefix("http://").split(":")
+        with socket.create_connection((host, int(port)), timeout=10) as sock:
+            sock.sendall(head)
+            assert get_json(url + "/v1/health") == {"status": "ok"}
+            chunks = []
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    @staticmethod
+    def _statuses(url: str) -> dict[str, dict[str, int]]:
+        requests = get_json(url + "/v1/metrics")["requests"]
+        return {endpoint: stats["by_status"]
+                for endpoint, stats in requests.items()}
+
+    def test_stalled_headers_close_the_connection(self,
+                                                  short_client_timeout):
+        with echo_server() as (_server, url):
+            reply = self._stall(url, b"POST /v1/spec HTTP/1.1\r\n"
+                                     b"Host: test\r\n")
+            assert reply == b""
+            statuses = self._statuses(url)
+        # The request never reached dispatch, so it is not counted at all.
+        assert "/v1/spec" not in statuses
+        assert not any("500" in by_status for by_status in statuses.values())
+
+    def test_stalled_body_is_408_not_500(self, short_client_timeout):
+        with echo_server() as (_server, url):
+            reply = self._stall(url, b"POST /v1/spec HTTP/1.1\r\n"
+                                     b"Host: test\r\n"
+                                     b"Content-Length: 64\r\n"
+                                     b"\r\n"
+                                     b'{"experiment": ')
+            status_line, _, rest = reply.decode("utf-8").partition("\r\n")
+            assert status_line.split()[1] == "408"
+            body = rest.partition("\r\n\r\n")[2]
+            assert "not received within" in json.loads(body)["error"]
+            # The server closed the connection after answering (the read
+            # loop above ended); it never sent a second response.
+            assert reply.count(b"HTTP/1.") == 1
+            statuses = self._statuses(url)
+        assert statuses["/v1/spec"] == {"408": 1}
+        assert not any("500" in by_status for by_status in statuses.values())
 
     def test_runner_crash_is_500(self):
         with echo_server() as (_server, url):

@@ -6,6 +6,10 @@ not an in-process server — this is the deployment artefact CI is vouching
 for) and diffs the served JSON against the in-process API across three
 request shapes:
 
+* ``GET /v1/experiments`` vs the in-process registry — the served name
+  list must equal ``default_registry().names()`` and every entry must
+  equal that experiment's ``spec.describe()`` (default grid, accepted
+  options and all);
 * ``POST /v1/spec`` with a Fig. 8 request vs a direct
   :func:`repro.experiments.run_fig8` call;
 * ``POST /v1/spec`` with a ``p1db`` compression request vs a direct
@@ -134,6 +138,30 @@ def post_json(url: str, payload: dict) -> dict:
 def get_json(url: str) -> dict:
     with urllib.request.urlopen(url, timeout=60) as response:
         return json.loads(response.read().decode("utf-8"))
+
+
+def check_experiments(base_url: str) -> int:
+    """The served registry metadata must equal the in-process registry."""
+    from repro.api.registry import default_registry
+
+    registry = default_registry()
+    served = get_json(base_url + "/v1/experiments")["experiments"]
+    names = [entry.get("name") for entry in served]
+    if names != registry.names():
+        print(f"FAIL: served experiments {names} differ from the registry "
+              f"{registry.names()}", file=sys.stderr)
+        return 1
+    for entry in served:
+        expected = json.loads(json.dumps(registry.get(entry["name"])
+                                         .describe()))
+        if entry != expected:
+            print(f"FAIL: served metadata of {entry['name']!r} differs from "
+                  f"spec.describe():\n  served   {entry}\n  expected "
+                  f"{expected}", file=sys.stderr)
+            return 1
+    print(f"serve smoke OK: GET /v1/experiments equals the in-process "
+          f"registry ({len(served)} experiments)")
+    return 0
 
 
 def check_fig8_spec(base_url: str) -> int:
@@ -568,7 +596,9 @@ def main() -> int:
         process, base_url = start_server(env, spec_cache)
         try:
             wait_healthy(base_url)
-            status = check_engine_cache_batch(base_url, spec_cache, "cold")
+            status = check_experiments(base_url)
+            status = status or check_engine_cache_batch(base_url, spec_cache,
+                                                        "cold")
             status = status or check_fig8_spec(base_url)
             status = status or check_p1db_spec(base_url)
             status = status or check_batch_population(base_url)
