@@ -5,7 +5,9 @@ power grid the batched :class:`~repro.waveform.engine.WaveformRunner` path
 must agree with the point-by-point bench on every measure and run at least
 **3x** faster than the scalar loop (one device evaluation + one Spectrum
 per power, the pre-engine measurement path), and a warm waveform cache
-must serve a re-run with **zero FFT evaluations**.
+must serve a re-run with **zero FFT evaluations**.  The default run
+asserts the speed-up's machine-independent twin, the IF-filter work each
+path does; the wall-clock ratio carries the ``timing`` marker.
 
 Both sides are timed warm (mixer built, sizing/bias solved, imports paid)
 so the comparison isolates what the engine actually changes: the stacked
@@ -16,13 +18,16 @@ waveforms, and the coherence-aware periodic fast path.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from conftest import record_comparison
 
 from repro.core.config import MixerMode
 from repro.core.reconfigurable_mixer import ReconfigurableMixer
+from repro.rf.filters import FirstOrderLowPass
 from repro.rf.signal import TwoToneSource
 from repro.rf.twotone import measure_two_tone
 from repro.waveform import (
@@ -30,6 +35,7 @@ from repro.waveform import (
     two_tone_plan,
     waveform_fft_count,
 )
+from repro.waveform.engine import _CHUNK_SAMPLES
 
 SAMPLE_RATE = 10.24e9
 NUM_SAMPLES = 10240
@@ -90,17 +96,41 @@ def test_bench_waveform_batched_fig10_grid(benchmark, design) -> None:
     assert result.shape == (1, len(MODES), len(POWERS))
 
 
-def test_bench_waveform_speedup_and_agreement(design) -> None:
-    """The acceptance gate: measures agree and the engine is >= 3x faster."""
-    plan = _plan()
-    runner = WaveformRunner(design)
+def _mode_devices(design):
     devices = {}
     for mode in MODES:
         mixer = ReconfigurableMixer(design, mode)
         devices[mode] = mixer.waveform_device(SAMPLE_RATE, lo_frequency=LO,
                                               rf_band_frequency=TONE_1)
+    return devices
 
-    # Warm both paths so device sizing and imports are paid up front.
+
+def _filter_work(monkeypatch, run) -> Counter:
+    """Calls and samples through each IF-filter path while ``run`` runs."""
+    work: Counter = Counter()
+    for path in ("apply", "apply_periodic"):
+        method = getattr(FirstOrderLowPass, path)
+
+        def counted(self, waveform, sample_rate, path=path, method=method):
+            work[f"{path}.calls"] += 1
+            work[f"{path}.samples"] += np.size(waveform)
+            return method(self, waveform, sample_rate)
+        monkeypatch.setattr(FirstOrderLowPass, path, counted)
+    run()
+    monkeypatch.undo()
+    return work
+
+
+def test_bench_waveform_agreement_and_filter_work(design, monkeypatch) -> None:
+    """The engine agrees with the scalar loop on every measure, and does
+    the work-count half of the >= 3x gate: >= 3x fewer filter calls, each
+    row filtered once with no cyclic prefix."""
+    plan = _plan()
+    runner = WaveformRunner(design)
+    devices = _mode_devices(design)
+    batched_work = _filter_work(monkeypatch,
+                                lambda: runner.run(plan, modes=MODES))
+    scalar_work = _filter_work(monkeypatch, lambda: _scalar_loop(devices))
     batched = runner.run(plan, modes=MODES)
     scalar = _scalar_loop(devices)
 
@@ -112,6 +142,29 @@ def test_bench_waveform_speedup_and_agreement(design) -> None:
             assert worst <= CROSS_IMPL_TOLERANCE_DB, (
                 f"{mode.value} {measure} differs by {worst} dB between the "
                 "batched engine and the scalar loop")
+
+    records = len(MODES) * len(POWERS)
+    rows_per_call = max(1, _CHUNK_SAMPLES // NUM_SAMPLES)
+    assert batched_work == Counter({
+        "apply_periodic.calls": len(MODES) * -(-len(POWERS) // rows_per_call),
+        "apply_periodic.samples": records * NUM_SAMPLES})
+    assert scalar_work == Counter({"apply.calls": records,
+                                   "apply.samples": records * 2 * NUM_SAMPLES})
+    call_ratio = records / batched_work["apply_periodic.calls"]
+    record_comparison("waveform", "filter calls, scalar/batched",
+                      ">= 3x", f"{call_ratio:.2f}x")
+    assert call_ratio >= 3.0
+
+
+@pytest.mark.timing
+def test_bench_waveform_speedup(design) -> None:
+    """The wall-clock gate: the engine is >= 3x faster than the scalar loop."""
+    plan = _plan()
+    runner = WaveformRunner(design)
+    devices = _mode_devices(design)
+    # Warm both paths so device sizing and imports are paid up front.
+    runner.run(plan, modes=MODES)
+    _scalar_loop(devices)
 
     scalar_time = _best_of(lambda: _scalar_loop(devices))
     batched_time = _best_of(lambda: runner.run(plan, modes=MODES))

@@ -33,7 +33,7 @@ DEFAULT_LRU_SIZE = 128
 
 #: Semantics version of the disk entries; bump on any change to what the
 #: cached numbers are.  Entries without the stamp predate it (version 1).
-RESPONSE_CACHE_VERSION = 2
+RESPONSE_CACHE_VERSION = 3
 _VERSION_FIELD = "response_cache_version"
 
 

@@ -21,7 +21,7 @@ class DigitalIfCache(CellCache):
     """The digital engine's cells: measure arrays along the bits axis."""
 
     namespace = "digital"
-    version = 3
+    version = 4
     codec = MeasuresCodec(axis="adc_bits")
     # Own load/store: see SpecCache.
     load = CellCache.load

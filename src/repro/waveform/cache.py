@@ -20,7 +20,7 @@ class WaveformCache(CellCache):
     """The waveform engine's cells: measure arrays along the power axis."""
 
     namespace = "waveform"
-    version = 3
+    version = 4
     codec = MeasuresCodec(axis="input_powers_dbm")
     # Own load/store: see SpecCache.
     load = CellCache.load

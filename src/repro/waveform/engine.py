@@ -355,7 +355,7 @@ class WaveformRunner:
         """Evaluate the measure arrays for one uncached (design, mode) cell.
 
         The device runs on its periodic fast path: no cyclic prefix, the IF
-        filter applied as its steady-state (one-record-warm-up) response —
+        filter applied as its closed-form periodic steady-state response —
         matching the prefixed evaluation to double precision at half the
         samples, with the LO switching function amortised across chunks.
         """

@@ -219,6 +219,93 @@ class TestFilters:
         lp = FirstOrderLowPass(dc_gain=1.0, pole_frequency=1e6)
         assert lp.group_delay(0.0) > lp.group_delay(10e6)
 
+    # -- time-domain filtering against independent references -----------------
+
+    SAMPLE_RATE = 10.24e9
+    #: (pole Hz, samples): the served IF pole on the engine's record; a pole
+    #: high enough that the scan needs many blocks; a pole above fs/pi, where
+    #: c = -a1 is negative; a record far shorter than the time constant, so
+    #: 1 - c^N is small.
+    CASES = [(17.7e6, 10240), (3.2e9, 10240), (1e11, 10240), (1e3, 64)]
+
+    @staticmethod
+    def _direct_form_loop(lp, samples, sample_rate):
+        """The direct-form-II-transposed recursion, one Python step per sample."""
+        (b0, b1), (_, a1) = lp._bilinear_coefficients(sample_rate)
+        state = float(lp._dc_seed(samples, b0)[0])
+        out = []
+        for x in samples:
+            y = b0 * x + state
+            state = b1 * x - a1 * y
+            out.append(y)
+        return np.array(out)
+
+    @staticmethod
+    def _spectral_steady_state(lp, samples, sample_rate):
+        """``irfft(rfft(x) * H(e^jw))`` with the bilinear ``H``: the periodic
+        steady state computed without any recursion."""
+        (b0, b1), (_, a1) = lp._bilinear_coefficients(sample_rate)
+        n = samples.shape[-1]
+        z = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+        response = (b0 + b1 * z) / (1.0 + a1 * z)
+        return np.fft.irfft(np.fft.rfft(samples) * response, n=n)
+
+    @staticmethod
+    def _relative_error(got, want):
+        return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("pole", [pole for pole, _ in CASES])
+    def test_apply_matches_direct_form_loop(self, pole):
+        lp = FirstOrderLowPass(dc_gain=2.5, pole_frequency=pole)
+        samples = np.random.default_rng(3).standard_normal(400)
+        want = self._direct_form_loop(lp, samples, self.SAMPLE_RATE)
+        got = lp.apply(samples, self.SAMPLE_RATE)
+        assert self._relative_error(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("pole", [pole for pole, _ in CASES])
+    def test_dc_input_is_settled_from_the_first_sample(self, pole):
+        lp = FirstOrderLowPass(dc_gain=2.5, pole_frequency=pole)
+        out = lp.apply(np.full(2048, 0.3), self.SAMPLE_RATE)
+        np.testing.assert_allclose(out, 0.75, rtol=1e-13)
+
+    @pytest.mark.parametrize("pole,samples", CASES)
+    def test_periodic_matches_spectral_steady_state(self, pole, samples):
+        lp = FirstOrderLowPass(dc_gain=2.5, pole_frequency=pole)
+        record = np.random.default_rng(5).standard_normal(samples)
+        want = self._spectral_steady_state(lp, record, self.SAMPLE_RATE)
+        got = lp.apply_periodic(record, self.SAMPLE_RATE)
+        assert self._relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("pole,samples", CASES[:3])
+    def test_periodic_matches_prefixed_apply(self, pole, samples):
+        """One record of warm-up settles these poles below double precision."""
+        lp = FirstOrderLowPass(dc_gain=2.5, pole_frequency=pole)
+        record = np.random.default_rng(7).standard_normal(samples)
+        prefixed = lp.apply(np.concatenate([record, record]), self.SAMPLE_RATE)
+        got = lp.apply_periodic(record, self.SAMPLE_RATE)
+        assert self._relative_error(got, prefixed[samples:]) <= 1e-12
+
+    @pytest.mark.parametrize("pole,samples", CASES)
+    def test_block_rows_equal_solo_calls_bitwise(self, pole, samples):
+        lp = FirstOrderLowPass(dc_gain=2.5, pole_frequency=pole)
+        block = np.random.default_rng(9).standard_normal((3, samples))
+        for method in (lp.apply, lp.apply_periodic):
+            batched = method(block, self.SAMPLE_RATE)
+            for row, solo in zip(batched, block):
+                np.testing.assert_array_equal(row, method(solo,
+                                                          self.SAMPLE_RATE))
+
+    def test_scan_blocks_stay_finite(self):
+        """A fast pole splits the scan into many rescaled blocks."""
+        from repro.rf.filters import _scan_powers
+
+        lp = FirstOrderLowPass(dc_gain=1.0, pole_frequency=3.2e9)
+        (_, a1) = lp._bilinear_coefficients(self.SAMPLE_RATE)[1]
+        falling, rising = _scan_powers(-a1, 10240)
+        assert 1 < falling.size < 10240 // 10
+        assert np.all(np.isfinite(falling)) and falling.max() <= 2.0 ** 500
+        assert rising.min() >= 2.0 ** -500
+
 
 class TestNetwork:
     def test_matched_load_has_no_reflection(self):
