@@ -21,12 +21,12 @@ every service instance pointed at the directory (CLI runs, server restarts).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-
-from repro.sweep.cache import atomic_write_json
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_LRU_SIZE = 128
@@ -35,6 +35,28 @@ DEFAULT_LRU_SIZE = 128
 #: cached numbers are.  Entries without the stamp predate it (version 1).
 RESPONSE_CACHE_VERSION = 3
 _VERSION_FIELD = "response_cache_version"
+
+
+def atomic_write_json(path: Path, payload: dict) -> None:
+    """Write a JSON payload so readers never observe a partial entry.
+
+    The bytes go to a temp file unique to this process *and thread* (the
+    threaded HTTP server writes cache entries from concurrent handler
+    threads, where a pid-only suffix would race), then move into place with
+    ``os.replace`` — atomic on POSIX.  Concurrent writers of the same entry
+    at worst race to install identical content.  A failed write removes its
+    temp file before the error propagates.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(
+        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            temp.unlink(missing_ok=True)
+        raise
 
 
 class ResponseCache:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.devices.technology import Technology, UMC65_LIKE
 from repro.units import ghz, mhz
@@ -198,9 +198,13 @@ class MixerDesign:
         interchangeable for any derived spec exactly when their canonical
         dictionaries are equal.  Keys are the dataclass field names; the
         nested :class:`~repro.devices.technology.Technology` appears under
-        ``technology``.
+        ``technology``.  Equal to ``dataclasses.asdict`` (without its deep
+        copy: every design field is a float).
         """
-        return asdict(self)
+        payload = {field.name: getattr(self, field.name)
+                   for field in fields(self)}
+        payload["technology"] = self.technology.to_dict()
+        return payload
 
     def fingerprint(self) -> str:
         """Stable content hash of the design record (hex SHA-256).

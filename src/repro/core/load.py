@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 from repro.core.config import MixerDesign
 from repro.core.switches import TransmissionGate
 from repro.devices.passives import Capacitor, feedback_impedance
@@ -59,14 +57,6 @@ class TransmissionGateLoad:
     def if_response(self) -> FirstOrderLowPass:
         """First-order low-pass response applied to the IF output."""
         return FirstOrderLowPass(dc_gain=1.0, pole_frequency=self.if_bandwidth)
-
-    def if_magnitude(self, frequency: float | np.ndarray) -> float | np.ndarray:
-        """Magnitude of the R_load C_c low-pass at ``frequency`` (scalar or array).
-
-        Vectorized counterpart of ``if_response().magnitude`` for sweep-engine
-        callers that evaluate whole IF grids at once.
-        """
-        return self.if_response().magnitude(frequency)
 
     def impedance(self, frequency: float) -> complex:
         """Load impedance R || C_c at ``frequency``."""

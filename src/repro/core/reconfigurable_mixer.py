@@ -45,12 +45,13 @@ from repro.core.switching_quad import LoDrive, SwitchingQuad
 from repro.core.tia import TransimpedanceAmplifier
 from repro.core.transconductance import (
     TransconductanceAmplifier,
+    band_magnitude,
     solve_gm_block,
     solve_widths,
 )
 from repro.devices.mosfet import Mosfet
 from repro.rf.conversion_gain import SWITCHING_FACTOR
-from repro.rf.filters import FirstOrderLowPass
+from repro.rf.filters import FirstOrderLowPass, one_pole_response
 from repro.rf.noise_figure import nf_with_flicker, noise_figure_from_factor
 from repro.units import (
     BOLTZMANN,
@@ -110,6 +111,17 @@ class SpecIntermediates:
                                 f"got {type(value).__name__}")
             values[name] = float(value)
         return cls(mode=MixerMode(payload["mode"]), **values)
+
+
+def conversion_gain_db_from(peak_gain_db, band_low_hz, band_high_hz,
+                            if_pole_hz, rf_frequency, if_frequency
+                            ) -> np.ndarray:
+    """Conversion gain (dB) from a cell's peak gain, band edges and IF
+    pole; the arguments broadcast, so the sweep engine stacks cells."""
+    band = band_magnitude(rf_frequency, band_low_hz, band_high_hz)
+    if_mag = np.abs(one_pole_response(if_frequency, if_pole_hz))
+    return np.asarray(peak_gain_db + db_from_voltage_ratio(band)
+                      + db_from_voltage_ratio(if_mag))
 
 
 @dataclass(frozen=True)
@@ -262,17 +274,12 @@ solve_widths` element seeds both TCA configurations with one shared
             return self.design.load_resistance
         return self.design.feedback_resistance
 
-    def _if_filter(self, mode: MixerMode | None = None) -> FirstOrderLowPass:
+    def if_filter(self, mode: MixerMode | None = None) -> FirstOrderLowPass:
+        """The IF low-pass of a mode's output network (load or TIA)."""
         mode = mode or self._mode
         if mode is MixerMode.ACTIVE:
             return self.load.if_response()
         return self.tia.if_response()
-
-    def _if_magnitude(self, if_frequency: float | np.ndarray) -> float | np.ndarray:
-        """IF roll-off magnitude of the current mode's output network."""
-        if self._mode is MixerMode.ACTIVE:
-            return self.load.if_magnitude(if_frequency)
-        return self.tia.if_magnitude(if_frequency)
 
     def _coupling_capacitance(self, mode: MixerMode | None = None) -> float:
         mode = mode or self._mode
@@ -365,12 +372,10 @@ solve_widths` element seeds both TCA configurations with one shared
         if_freq = np.asarray(if_frequency, dtype=float)
         if np.any(rf <= 0) or np.any(if_freq <= 0):
             raise ValueError("frequencies must be positive")
-        gain_db = self.spec_intermediates().peak_gain_db
-        band = self.transconductor.band_response(
-            rf, self._coupling_capacitance(), self._band_node_resistance())
-        if_mag = self._if_magnitude(if_freq)
-        return np.asarray(gain_db + db_from_voltage_ratio(band)
-                          + db_from_voltage_ratio(if_mag))
+        cell = self.spec_intermediates()
+        return conversion_gain_db_from(
+            cell.peak_gain_db, cell.band_low_hz, cell.band_high_hz,
+            self.if_filter().pole_frequency, rf, if_freq)
 
     def conversion_gain_db(self, rf_frequency: float | None = None,
                            if_frequency: float | None = None) -> float:
@@ -641,7 +646,7 @@ solve_widths` element seeds both TCA configurations with one shared
                                        self._band_node_resistance()))
         gm_eff = self._effective_gm()
         load_resistance = self._load_resistance()
-        if_filter = self._if_filter()
+        if_filter = self.if_filter()
         quad = SwitchingQuad(self.design, LoDrive(lo))
         swing = self.design.output_swing_limit
 

@@ -131,14 +131,6 @@ class TransimpedanceAmplifier:
         """The first-order IF low-pass response (anti-aliasing filter)."""
         return FirstOrderLowPass(dc_gain=1.0, pole_frequency=self.if_bandwidth)
 
-    def if_magnitude(self, frequency: float | np.ndarray) -> float | np.ndarray:
-        """Magnitude of the IF low-pass at ``frequency`` (scalar or array).
-
-        Array inputs are evaluated in one vectorized pass — the sweep engine
-        uses this to shape whole Fig. 9 IF grids without per-point calls.
-        """
-        return self.if_response().magnitude(frequency)
-
     # -- closed-loop quantities ----------------------------------------------------
 
     def transimpedance(self, frequency: float) -> complex:

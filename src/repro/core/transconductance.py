@@ -417,17 +417,21 @@ class TransconductanceAmplifier:
 
         First-order high-pass at the low edge and second-order low-pass at
         the high edge; the product reproduces the band-pass shape of Fig. 8.
-        ``rf_frequency`` may be a scalar or an array of any shape — this is
-        the vectorized hot path the sweep engine evaluates whole RF grids
-        through in one call.
+        ``rf_frequency`` may be a scalar or an array of any shape.
         """
-        low_edge, high_edge = self.band_edges(coupling_capacitance,
-                                              output_node_resistance)
-        f = np.asarray(rf_frequency, dtype=float)
-        highpass = (f / low_edge) / np.sqrt(1.0 + (f / low_edge) ** 2)
-        lowpass = 1.0 / np.sqrt(1.0 + (f / high_edge) ** 4)
-        response = highpass * lowpass
+        response = band_magnitude(rf_frequency, *self.band_edges(
+            coupling_capacitance, output_node_resistance))
         return response if np.ndim(rf_frequency) else float(response)
+
+
+def band_magnitude(rf_frequency: float | np.ndarray,
+                   low_edge: float | np.ndarray,
+                   high_edge: float | np.ndarray) -> np.ndarray:
+    """:meth:`band_response` from the edges; the arguments broadcast."""
+    f = np.asarray(rf_frequency, dtype=float)
+    highpass = (f / low_edge) / np.sqrt(1.0 + (f / low_edge) ** 2)
+    lowpass = 1.0 / np.sqrt(1.0 + (f / high_edge) ** 4)
+    return highpass * lowpass
 
 
 # -- block solver ---------------------------------------------------------------

@@ -9,7 +9,7 @@ noise densities land where the paper's design text says they do.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class Technology:
 
     def to_dict(self) -> dict:
         """Every process constant as plain JSON types (field name -> value)."""
-        return asdict(self)
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Technology":

@@ -52,7 +52,7 @@ from repro.digital.blocks import (
 from repro.digital.cache import DigitalIfCache
 from repro.digital.plan import DigitalIfPlan
 from repro.digital.result import BITS_AXIS, DigitalResult
-from repro.sweep.cache import resolve_cache
+from repro.sweep.cache import fill_cached_measures, resolve_cache
 from repro.sweep.grid import SweepAxis
 from repro.units import dbm_from_vrms
 from repro.waveform.engine import WaveformRunner
@@ -229,33 +229,26 @@ class DigitalIfRunner:
         shape = (len(design_axis), len(mode_axis), len(bits_axis))
         data = {measure: np.empty(shape, dtype=float)
                 for measure in plan.measures}
-        # Pass 1 — settle the cache: hits fill their cells directly, misses
-        # queue so pending designs can be batch-sized before any analog
-        # evaluation runs.
-        pending: list[tuple[int, int, MixerDesign]] = []
-        for design_index, record in enumerate(records):
-            for mode_index, mode in enumerate(members):
-                if self.cache is not None:
-                    cached = self.cache.load(record, mode, plan)
-                    if cached is not None:
-                        for measure in plan.measures:
-                            data[measure][design_index, mode_index] = \
-                                cached[measure]
-                        continue
-                pending.append((design_index, mode_index, record))
+        # Pass 1 — settle the cache with one block read: hits fill their
+        # cells directly, misses queue so pending designs can be batch-sized
+        # before any analog evaluation runs.
+        pending = fill_cached_measures(self.cache, plan, records, members,
+                                       data)
         self._waveform.presize_designs(
             [record for _, _, record in pending],
             [design_axis.values[i] for i, _, _ in pending],
             [members[j] for _, j, _ in pending])
         # Pass 2 — evaluate the cells the cache could not cover: tap the
         # analog engine (memoized per cell), then one quantization pass.
+        computed = []
         for design_index, mode_index, record in pending:
             mode = members[mode_index]
             if_block = self._waveform.time_domain(plan.stimulus, mode,
                                                   design=record)
             measures = evaluate_digital(plan, if_block)
-            if self.cache is not None:
-                self.cache.store(record, mode, measures, plan)
+            computed.append((record, mode, measures, plan))
             for measure in plan.measures:
                 data[measure][design_index, mode_index] = measures[measure]
+        if self.cache is not None:
+            self.cache.store_many(computed)
         return DigitalResult((design_axis, mode_axis, bits_axis), data)

@@ -23,6 +23,14 @@ def rc_pole_frequency(resistance: float, capacitance: float) -> float:
     return 1.0 / (2.0 * math.pi * resistance * capacitance)
 
 
+def one_pole_response(frequency: float | np.ndarray,
+                      pole_frequency: float | np.ndarray,
+                      dc_gain: float = 1.0) -> np.ndarray:
+    """Complex one-pole low-pass response; the arguments broadcast."""
+    return dc_gain / (1.0 + 1j * np.asarray(frequency, dtype=float)
+                      / pole_frequency)
+
+
 @dataclass(frozen=True)
 class FirstOrderLowPass:
     """A single-pole low-pass response with a DC gain."""
@@ -43,8 +51,7 @@ class FirstOrderLowPass:
 
     def response(self, frequency: float | np.ndarray) -> complex | np.ndarray:
         """Complex transfer function at ``frequency``."""
-        f = np.asarray(frequency, dtype=float)
-        h = self.dc_gain / (1.0 + 1j * f / self.pole_frequency)
+        h = one_pole_response(frequency, self.pole_frequency, self.dc_gain)
         return h if np.ndim(frequency) else complex(h)
 
     def magnitude(self, frequency: float | np.ndarray) -> float | np.ndarray:

@@ -22,36 +22,45 @@ Each engine declares one subclass naming its namespace, version and codec:
 
 Key properties:
 
+* **one SQLite database per directory** — every namespace's entries live
+  in :data:`DATABASE_NAME` (WAL mode; needs a local file system).  ``*.json``
+  entries of the older file-per-cell layout are ignored;
+* **block I/O** — an engine run makes one :meth:`~CellCache.load_many`
+  (one ``SELECT … WHERE key IN (…)``) and one :meth:`~CellCache.store_many`
+  (one ``INSERT OR REPLACE`` transaction); ``load``/``store`` are blocks
+  of one;
 * **content-addressed** — any design parameter, mode or plan change maps to
-  a different entry, and the namespace keeps the engines apart, so all
-  three can share one directory;
+  a different entry, and the namespace keeps the engines apart;
 * **versioned invalidation** — bump a cache's ``version`` whenever the
   meaning of its payload changes (new spec model, changed units): old
   entries stop matching and are recomputed, never reinterpreted;
-* **corruption-safe** — entries are written atomically (temp file +
-  ``os.replace``); any unreadable, malformed or mismatched entry is a miss
-  and is overwritten by the recomputed cell;
-* **failure-tolerant** — a failed write (full disk, read-only directory)
-  is counted in ``write_errors`` and otherwise ignored: the caller already
-  holds the computed result;
+* **corruption-safe** — the stored identity is checked on every load and
+  the codec validates the payload; any malformed or mismatched entry (or a
+  file that is not a database) is a miss, and the recomputed cell replaces
+  the entry;
+* **failure-tolerant** — a failed write (full disk, read-only or broken
+  database) counts every cell of the block in ``write_errors`` and is
+  otherwise ignored: the caller already holds the computed result;
 * **switchable** — pass ``cache=None``/``False`` (the default everywhere)
   for no caching, or set ``REPRO_SWEEP_CACHE=off`` in the environment to
   force-disable caching even where code requests it;
   ``REPRO_SWEEP_CACHE_DIR`` overrides the default directory.
 
-Cache instances are cheap, picklable handles around a directory; separate
-processes (the shards of a :class:`~repro.sweep.parallel.ShardedRunner`)
-can share one directory safely because entries are immutable once written
-and writes are atomic.
+Cache instances are cheap, picklable handles around a directory.  A
+process holds at most one connection per directory and
+:data:`_MAX_CONNECTIONS` in all; a forked child never touches the ones it
+inherited.  Processes sharing a directory (the shards of a
+:class:`~repro.sweep.parallel.ShardedRunner`) are serialised by SQLite.
+``sqlite3`` is imported on first use, so caching off never loads it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,30 +76,70 @@ DISABLE_ENV = "REPRO_SWEEP_CACHE"
 #: Environment variable overriding the default cache directory.
 DIRECTORY_ENV = "REPRO_SWEEP_CACHE_DIR"
 
+#: The SQLite file holding every entry of one cache directory.
+DATABASE_NAME = "cells.sqlite"
+
 _DISABLE_VALUES = {"off", "0", "false", "no"}
+_MAX_CONNECTIONS = 4  # least recently used closes first
+_MAX_KEYS = 999  # per ``IN (…)``: SQLite's historical parameter limit
+
+_lock = threading.Lock()
+_connections: OrderedDict = OrderedDict()  # database path -> connection
+# A forked child's copies of the parent's connections: never used, and
+# never closed, since closing one could disturb the parent's file locks.
+_inherited: list = []
 
 
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write a JSON payload so readers never observe a partial entry.
+def _forget_inherited() -> None:
+    global _lock
+    _lock = threading.Lock()
+    _inherited.extend(_connections.values())
+    _connections.clear()
 
-    The bytes go to a temp file unique to this process *and thread* (the
-    threaded HTTP server writes cache entries from concurrent handler
-    threads, where a pid-only suffix would race), then move into place with
-    ``os.replace`` — atomic on POSIX.  Concurrent writers of the same entry
-    at worst race to install identical content.  A failed write removes its
-    temp file before the error propagates.  Shared by :class:`CellCache`
-    and the API layer's response cache.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(
-        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+
+os.register_at_fork(after_in_child=_forget_inherited)
+
+
+def _open(path: Path):
+    import sqlite3
+    connection = sqlite3.connect(path, timeout=30.0, check_same_thread=False)
     try:
-        temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(temp, path)
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute("PRAGMA synchronous=NORMAL")
+        connection.execute("PRAGMA cache_size=-256")  # KiB, not ~2 MB
+        connection.execute("CREATE TABLE IF NOT EXISTS cells (key TEXT "
+                           "PRIMARY KEY, entry TEXT NOT NULL) WITHOUT ROWID")
     except BaseException:
-        with contextlib.suppress(OSError):
-            temp.unlink(missing_ok=True)
+        connection.close()
         raise
+    return connection
+
+
+def _connection(directory: Path, create: bool):
+    """This process's connection to ``directory``'s database (hold ``_lock``).
+
+    ``None`` when the database does not exist and ``create`` is false, so
+    a read never creates files.
+    """
+    path = directory / DATABASE_NAME
+    connection = _connections.pop(path, None)
+    if connection is None:
+        if not create and not path.exists():
+            return None
+        directory.mkdir(parents=True, exist_ok=True)
+        connection = _open(path)
+    _connections[path] = connection
+    while len(_connections) > _MAX_CONNECTIONS:
+        _connections.popitem(last=False)[1].close()
+    return connection
+
+
+def _select(connection, keys: list[str]):
+    for start in range(0, len(keys), _MAX_KEYS):
+        chunk = keys[start:start + _MAX_KEYS]
+        yield from connection.execute(
+            "SELECT key, entry FROM cells WHERE key IN "
+            f"({','.join('?' * len(chunk))})", chunk)
 
 
 def default_cache_dir() -> Path:
@@ -111,8 +160,8 @@ class CellCache:
     ``TypeError`` or ``ValueError`` on anything malformed).
 
     The per-instance ``hits`` / ``misses`` / ``stores`` / ``corrupt`` /
-    ``write_errors`` counters cover this process only — the directory
-    itself may be shared with other processes.
+    ``write_errors`` counters count cells, for this process only — the
+    directory itself may be shared with other processes.
     """
 
     namespace: str
@@ -130,11 +179,11 @@ class CellCache:
     # -- keys -----------------------------------------------------------------
 
     def _entry(self, design: MixerDesign, mode: MixerMode,
-               plan) -> tuple[Path, dict]:
-        """The entry path and the identity stamped inside it.
+               plan) -> tuple[str, dict]:
+        """The entry's key and the identity stamped inside it.
 
         The design fingerprint and the plan hash are computed once here;
-        :meth:`load` compares the stored identity instead of re-hashing.
+        a load compares the stored identity instead of re-hashing.
         """
         identity = {"namespace": self.namespace,
                     "version": self.version,
@@ -143,31 +192,42 @@ class CellCache:
                     "plan": None if plan is None else plan.content_hash()}
         key = hashlib.sha256(json.dumps(
             identity, sort_keys=True, separators=(",", ":")).encode("utf-8"))
-        return self.directory / f"{key.hexdigest()}.json", identity
+        return key.hexdigest(), identity
 
-    def entry_path(self, design: MixerDesign, mode: MixerMode,
-                   plan=None) -> Path:
-        """Filesystem path of the entry for one (design, mode, plan) cell."""
+    def entry_key(self, design: MixerDesign, mode: MixerMode,
+                  plan=None) -> str:
+        """Database key of the entry for one (design, mode, plan) cell."""
         return self._entry(design, mode, plan)[0]
 
     # -- load / store ---------------------------------------------------------
 
-    def load(self, design: MixerDesign, mode: MixerMode, plan=None):
-        """The cached value for a cell, or ``None`` on miss/corruption.
+    def load_many(self, cells) -> list:
+        """The cached value of each ``(design, mode, plan)`` cell, or ``None``.
 
-        Every failure mode — missing or unreadable file, malformed JSON,
-        another namespace/version/design/mode/plan, a payload the codec
-        rejects — degrades to a miss so the caller recomputes (and the
-        subsequent :meth:`store` replaces the bad entry).
+        One query reads the block.  Every failure — a missing row, an
+        unreadable database, an entry of another cell, a payload the codec
+        rejects — is a miss, so the caller recomputes and stores the cell.
         """
-        path, identity = self._entry(design, mode, plan)
+        import sqlite3
+        cells = list(cells)
+        entries = [self._entry(design, mode, plan)
+                   for design, mode, plan in cells]
         try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except OSError:
-            self.corrupt += 1
+            with _lock:
+                connection = _connection(self.directory, create=False)
+                rows = {} if connection is None else dict(_select(
+                    connection, [key for key, _ in entries]))
+        except (OSError, sqlite3.Error):
+            self.corrupt += len(cells)
+            self.misses += len(cells)
+            return [None] * len(cells)
+        return [self._decode(rows.get(key), identity, mode, plan)
+                for (key, identity), (_, mode, plan) in zip(entries, cells)]
+
+    def _decode(self, text: str | None, identity: dict, mode: MixerMode,
+                plan):
+        """One row's value (a counted hit), or ``None`` (a counted miss)."""
+        if text is None:
             self.misses += 1
             return None
         try:
@@ -182,23 +242,42 @@ class CellCache:
         self.hits += 1
         return value
 
+    def store_many(self, cells) -> None:
+        """Persist each ``(design, mode, value, plan)`` cell in one transaction.
+
+        Every value is encoded first, so a codec ``ValueError`` writes
+        nothing.  A write failing with ``OSError`` or ``sqlite3.Error``
+        counts every cell in ``write_errors`` and is dropped: the cache is
+        an accelerator, never a reason to fail.
+        """
+        import sqlite3
+        rows = []
+        for design, mode, value, plan in cells:
+            payload = self.codec.encode(value, mode, plan)
+            key, identity = self._entry(design, mode, plan)
+            rows.append((key, json.dumps(
+                {"identity": identity, "payload": payload}, sort_keys=True)))
+        if not rows:
+            return
+        try:
+            with _lock:
+                connection = _connection(self.directory, create=True)
+                with connection:
+                    connection.executemany(
+                        "INSERT OR REPLACE INTO cells VALUES (?, ?)", rows)
+        except (OSError, sqlite3.Error):
+            self.write_errors += len(rows)
+            return
+        self.stores += len(rows)
+
+    def load(self, design: MixerDesign, mode: MixerMode, plan=None):
+        """The cached value for one cell, or ``None`` (a block of one)."""
+        return self.load_many([(design, mode, plan)])[0]
+
     def store(self, design: MixerDesign, mode: MixerMode, value,
               plan=None) -> None:
-        """Persist one evaluated cell atomically (see :func:`atomic_write_json`).
-
-        Concurrent shards or server threads never observe a half-written
-        entry — at worst they race to write identical content.  A write
-        that fails with ``OSError`` is counted in ``write_errors`` and
-        dropped: the cache is an accelerator, never a reason to fail.
-        """
-        payload = self.codec.encode(value, mode, plan)
-        path, identity = self._entry(design, mode, plan)
-        try:
-            atomic_write_json(path, {"identity": identity, "payload": payload})
-        except OSError:
-            self.write_errors += 1
-            return
-        self.stores += 1
+        """Persist one evaluated cell (a block of one)."""
+        self.store_many([(design, mode, value, plan)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"{type(self).__name__}({str(self.directory)!r}, "
@@ -250,6 +329,25 @@ class MeasuresCodec:
                 raise ValueError(f"measure {name!r} has the wrong length")
             measures[name] = values
         return measures
+
+
+def fill_cached_measures(cache: CellCache | None, plan, records, modes,
+                         data: dict[str, np.ndarray]) -> list:
+    """Fill ``data``'s cached (design, mode) cells with one block read.
+
+    Returns ``(design index, mode index, record)`` of each cell left to
+    compute — every cell when ``cache`` is ``None``.
+    """
+    cells = [(i, j, record) for i, record in enumerate(records)
+             for j in range(len(modes))]
+    if cache is None:
+        return cells
+    loaded = cache.load_many((record, modes[j], plan) for _, j, record in cells)
+    for (i, j, _), cached in zip(cells, loaded):
+        if cached is not None:
+            for measure in plan.measures:
+                data[measure][i, j] = cached[measure]
+    return [cell for cell, cached in zip(cells, loaded) if cached is None]
 
 
 class SpecCache(CellCache):

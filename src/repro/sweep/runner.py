@@ -9,9 +9,9 @@ frequency** without per-point Python loops.  The split of labour is:
   is computed **once per (design, mode) cell** through
   :meth:`ReconfigurableMixer.spec_intermediates` and memoized on the mixer;
 * the frequency-shaped specs (conversion gain, noise figure) are then
-  evaluated over the whole RF x IF plane in **one NumPy broadcast call**
-  via the array accessors (:meth:`conversion_gain_db_array`,
-  :meth:`noise_figure_db_array`);
+  evaluated over every design x RF x IF cell of a mode in **one NumPy
+  broadcast call**, through the helpers behind the array accessors
+  (:meth:`conversion_gain_db_array`, :meth:`noise_figure_db_array`);
 * frequency-flat specs (IIP3, P1dB, power, band edges) are broadcast across
   the plane so every spec array shares one labelled shape.
 
@@ -38,9 +38,10 @@ import numpy as np
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import (
     ReconfigurableMixer,
-    SpecIntermediates,
+    conversion_gain_db_from,
     presolve_cells,
 )
+from repro.rf.noise_figure import nf_with_flicker
 from repro.sweep.cache import SpecCache, resolve_cache
 from repro.sweep.grid import IF_AXIS, RF_AXIS, SweepAxis
 from repro.sweep.result import SweepResult
@@ -93,10 +94,6 @@ class SweepRunner:
         # Mixers (and with them every sizing/bias solution and memoized
         # intermediate) are kept per design record across run() calls.
         self._mixers: dict[MixerDesign, ReconfigurableMixer] = {}
-        # (design, mode) cells the pre-solve pass already checked the disk
-        # cache for and missed; _cell_intermediates skips the redundant
-        # second load so the cache counters see each cell exactly once.
-        self._presolve_misses: set[tuple[MixerDesign, MixerMode]] = set()
 
     # -- mixer cache ---------------------------------------------------------
 
@@ -148,87 +145,83 @@ class SweepRunner:
         shape = (len(design_axis), len(mode_axis), rf.size, if_.size)
         data = {spec: np.empty(shape, dtype=float) for spec in self.specs}
 
-        self._presolve(design_records, mode_members, design_axis.values)
-        for design_index, record in enumerate(design_records):
-            mixer = self.mixer_for(record)
-            for mode_index, mode in enumerate(mode_members):
-                mixer.set_mode(mode)
-                cell = (design_index, mode_index)
-                self._fill_cell(mixer, record, data, cell, rf, if_)
+        computed = self._presolve(design_records, mode_members,
+                                  design_axis.values)
+        mixers = [self.mixer_for(record) for record in design_records]
+        for mode_index, mode in enumerate(mode_members):
+            self._fill_mode(mixers, mode, data, mode_index, rf, if_)
+        if self.cache is not None:
+            self.cache.store_many(
+                (mixer.design, mode, mixer.peek_intermediates(mode), None)
+                for _, mixer, mode in computed)
 
         axes = (design_axis, mode_axis, rf_axis, if_axis)
         return SweepResult(axes, data)
 
     def _presolve(self, records: Sequence[MixerDesign],
-                  modes: Sequence[MixerMode],
-                  labels: Sequence[str]) -> int:
+                  modes: Sequence[MixerMode], labels: Sequence[str]
+                  ) -> list[tuple[str, ReconfigurableMixer, MixerMode]]:
         """Settle the disk cache, then block-solve every uncovered cell.
 
-        A (design, mode) cell the disk cache covers seeds the mixer memo
-        here (so a warm run still performs zero solves); the cells neither
-        the memo nor the cache covers go to
+        One block read covers every (design, mode) cell the mixer memo
+        lacks; each hit seeds the memo (so a warm run still performs zero
+        solves).  The cells neither covers go to
         :func:`~repro.core.reconfigurable_mixer.presolve_cells` before the
-        cell loop runs.  Returns the number of designs block-solved.
+        fill runs, and are returned: the cells this run computes, for
+        :meth:`run` to store in one block.
         """
-        pending: list[tuple[str, ReconfigurableMixer, MixerMode]] = []
+        uncovered: list[tuple[str, ReconfigurableMixer, MixerMode]] = []
         seen: set[MixerDesign] = set()
         for label, record in zip(labels, records):
             if record in seen:
                 continue
             seen.add(record)
             mixer = self.mixer_for(record)
-            for mode in modes:
-                if mixer.peek_intermediates(mode) is not None:
-                    continue
-                if self.cache is not None and \
-                        (record, mode) not in self._presolve_misses:
-                    cached = self.cache.load(record, mode)
-                    if cached is not None:
-                        mixer.seed_intermediates(cached)
-                        continue
-                    self._presolve_misses.add((record, mode))
-                pending.append((label, mixer, mode))
-        return presolve_cells(pending)
+            uncovered.extend((label, mixer, mode) for mode in modes
+                             if mixer.peek_intermediates(mode) is None)
+        if self.cache is not None:
+            loaded = self.cache.load_many(
+                (mixer.design, mode, None) for _, mixer, mode in uncovered)
+            for (_, mixer, _), cached in zip(uncovered, loaded):
+                if cached is not None:
+                    mixer.seed_intermediates(cached)
+            uncovered = [cell for cell, cached in zip(uncovered, loaded)
+                         if cached is None]
+        presolve_cells(uncovered)
+        return uncovered
 
-    def _cell_intermediates(self, mixer: ReconfigurableMixer,
-                            record: MixerDesign) -> SpecIntermediates:
-        """Solve (or load) the frequency-independent scalars for one cell.
+    def _fill_mode(self, mixers: Sequence[ReconfigurableMixer],
+                   mode: MixerMode, data: dict[str, np.ndarray],
+                   mode_index: int, rf: np.ndarray, if_: np.ndarray) -> None:
+        """Evaluate every configured spec for one mode's cells in one broadcast.
 
-        Without a cache this is plain ``mixer.spec_intermediates()``.  With
-        one, a hit seeds the mixer's in-memory memo — so the vectorized
-        accessors below never trigger a sizing solve — and a miss stores
-        the freshly solved cell for every later run and every sibling shard.
-        The memo is consulted first (the pre-sizing pass already seeded it
-        from the cache where possible), so each cell costs at most one disk
-        read per process.
+        Per-cell scalars stack along a leading design axis against the
+        shared RF (middle) and IF (last) axes, through the same helpers the
+        scalar accessors call, so every value is bit-identical to them.
         """
-        cached = mixer.peek_intermediates(mixer.mode)
-        if cached is not None:
-            return cached
-        if self.cache is None:
-            return mixer.spec_intermediates()
-        if (record, mixer.mode) not in self._presolve_misses:
-            loaded = self.cache.load(record, mixer.mode)
-            if loaded is not None:
-                mixer.seed_intermediates(loaded)
-                return loaded
-        intermediates = mixer.spec_intermediates()
-        self.cache.store(record, mixer.mode, intermediates)
-        return intermediates
+        cells = []
+        for mixer in mixers:
+            mixer.set_mode(mode)
+            cells.append(mixer.spec_intermediates())
 
-    def _fill_cell(self, mixer: ReconfigurableMixer, record: MixerDesign,
-                   data: dict[str, np.ndarray], cell: tuple[int, int],
-                   rf: np.ndarray, if_: np.ndarray) -> None:
-        """Evaluate every configured spec for one (design, mode) cell."""
-        intermediates = self._cell_intermediates(mixer, record)
-        plane = (rf.size, if_.size)
+        def column(values) -> np.ndarray:
+            return np.array(list(values), dtype=float)[:, None, None]
+
         for spec in self.specs:
             if spec == "conversion_gain_db":
-                data[spec][cell] = mixer.conversion_gain_db_array(
-                    rf[:, None], if_[None, :])
+                values = conversion_gain_db_from(
+                    column(cell.peak_gain_db for cell in cells),
+                    column(cell.band_low_hz for cell in cells),
+                    column(cell.band_high_hz for cell in cells),
+                    column(mixer.if_filter(mode).pole_frequency
+                           for mixer in mixers),
+                    rf[None, :, None], if_[None, None, :])
             elif spec == "noise_figure_db":
-                data[spec][cell] = np.broadcast_to(
-                    mixer.noise_figure_db_array(if_)[None, :], plane)
+                values = nf_with_flicker(
+                    column(cell.white_nf_db for cell in cells),
+                    column(cell.flicker_corner_hz for cell in cells),
+                    if_[None, None, :])
             else:
                 # Flat specs share their name with a SpecIntermediates field.
-                data[spec][cell] = getattr(intermediates, spec)
+                values = column(getattr(cell, spec) for cell in cells)
+            data[spec][:, mode_index] = values

@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import ReconfigurableMixer, presolve_cells
 from repro.rf.signal import WaveformTransfer
-from repro.sweep.cache import resolve_cache
+from repro.sweep.cache import fill_cached_measures, resolve_cache
 from repro.sweep.grid import POWER_AXIS, SweepAxis
 from repro.units import dbm_from_vpeak, vpeak_from_dbm
 from repro.waveform.cache import WaveformCache
@@ -314,28 +314,18 @@ class WaveformRunner:
         shape = (len(design_axis), len(mode_axis), len(power_axis))
         data = {measure: np.empty(shape, dtype=float)
                 for measure in plan.measures}
-        # Pass 1 — settle the cache: every hit fills its cell directly, and
-        # each miss is queued so the unsolved designs can be batch-sized
-        # before any device evaluation runs.  Each cell still costs at most
-        # one cache read, exactly as the single-pass loop did.
-        pending: list[tuple[int, int, MixerDesign]] = []
-        for design_index, record in enumerate(records):
-            mixer = self.mixer_for(record)
-            for mode_index, mode in enumerate(members):
-                if self.cache is not None:
-                    cached = self.cache.load(record, mode, plan)
-                    if cached is not None:
-                        for measure in plan.measures:
-                            data[measure][design_index, mode_index] = \
-                                cached[measure]
-                        continue
-                pending.append((design_index, mode_index, record))
+        # Pass 1 — settle the cache with one block read: every hit fills its
+        # cell directly, and each miss is queued so the unsolved designs can
+        # be batch-sized before any device evaluation runs.
+        pending = fill_cached_measures(self.cache, plan, records, members,
+                                       data)
         self.presize_designs([record for _, _, record in pending],
                              [design_axis.values[i] for i, _, _ in pending],
                              [members[j] for _, j, _ in pending])
         # Pass 2 — evaluate the cells the cache could not cover, all devices
         # already sized when the batch threshold was met.
         block: np.ndarray | None = None  # one stimulus, shared by all cells
+        computed = []
         for design_index, mode_index, record in pending:
             mixer = self.mixer_for(record)
             mixer.set_mode(members[mode_index])
@@ -344,13 +334,15 @@ class WaveformRunner:
                 if block is None:
                     block = stimulus_block(plan)
                     self._stimuli[plan] = block
-            measures = self._evaluate_cell(mixer, record, plan, block)
+            measures = self._evaluate_cell(mixer, plan, block)
+            computed.append((record, mixer.mode, measures, plan))
             for measure in plan.measures:
                 data[measure][design_index, mode_index] = measures[measure]
+        if self.cache is not None:
+            self.cache.store_many(computed)
         return WaveformResult((design_axis, mode_axis, power_axis), data)
 
-    def _evaluate_cell(self, mixer: ReconfigurableMixer, record: MixerDesign,
-                       plan: StimulusPlan,
+    def _evaluate_cell(self, mixer: ReconfigurableMixer, plan: StimulusPlan,
                        block: np.ndarray) -> dict[str, np.ndarray]:
         """Evaluate the measure arrays for one uncached (design, mode) cell.
 
@@ -363,7 +355,4 @@ class WaveformRunner:
             plan.sample_rate, lo_frequency=plan.lo_frequency,
             rf_band_frequency=plan.rf_band_frequency,
             assume_periodic=True)
-        measures = evaluate_plan(device, plan, block=block)
-        if self.cache is not None:
-            self.cache.store(record, mixer.mode, measures, plan)
-        return measures
+        return evaluate_plan(device, plan, block=block)

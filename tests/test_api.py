@@ -13,10 +13,12 @@ The load-bearing guarantees, straight from the acceptance bar:
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import inspect
 import json
 import os
+import sqlite3
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +38,7 @@ from repro.api.response_cache import RESPONSE_CACHE_VERSION
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.transconductance import sizing_solve_count
 from repro.experiments import run_fig8, sweep_fig8
+from repro.sweep.cache import DATABASE_NAME
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
 from api_test_helpers import EXPERIMENT_NAMES, SMALL_GRIDS, small_request
@@ -332,7 +335,10 @@ class TestBatchSubmission:
                 for request in requests]
         assert [r.result_payload for r in responses] == \
             [r.result_payload for r in solo]
-        assert list(tmp_path.glob("*.json")), "spec cache was not used"
+        with contextlib.closing(sqlite3.connect(
+                tmp_path / DATABASE_NAME)) as database:
+            (rows,) = database.execute("SELECT COUNT(*) FROM cells").fetchone()
+        assert rows > 0, "spec cache was not used"
 
     def test_concurrent_stores_of_one_key_do_not_race(self, tmp_path):
         import threading

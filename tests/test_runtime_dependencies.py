@@ -1,5 +1,8 @@
 """The library runs on numpy alone: no module under ``src/`` needs scipy.
 
+With the engine cache off, the served path never imports ``sqlite3``
+either: the cache imports it on first use.
+
 The served path (``repro.serve`` and every waveform and digital engine
 behind it) is exercised in a fresh interpreter whose import system refuses
 ``scipy``, so a stray import anywhere on that path fails the run instead of
@@ -49,6 +52,33 @@ SCRIPT = textwrap.dedent("""
     assert not loaded, loaded
     print("ok")
 """)
+
+
+SQLITE_SCRIPT = textwrap.dedent("""
+    import sys
+    import tempfile
+
+    import repro.serve  # noqa: F401
+    from repro.api import MixerService, SpecRequest
+
+    service = MixerService(response_cache=False)
+    for name in ("fig8", "table1", "fig10", "p1db", "digital_if"):
+        service.submit(SpecRequest(name))
+    assert "sqlite3" not in sys.modules
+    with tempfile.TemporaryDirectory() as directory:
+        service.submit(SpecRequest("table1", cache=directory))
+    assert "sqlite3" in sys.modules
+    print("ok")
+""")
+
+
+def test_engine_cache_off_never_imports_sqlite3():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    completed = subprocess.run([sys.executable, "-c", SQLITE_SCRIPT],
+                               env=env, capture_output=True, text=True,
+                               timeout=300)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "ok"
 
 
 def test_served_path_runs_without_scipy():

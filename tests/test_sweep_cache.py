@@ -7,12 +7,18 @@ live beside each engine's other tests.
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import hashlib
 import json
+import os
 import pickle
+import sqlite3
+import sys
+import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +34,7 @@ from repro.sweep import (
     resolve_cache,
     run_monte_carlo,
 )
+from repro.sweep.montecarlo import DeviceSpread, sample_design
 from repro.waveform import WaveformCache, WaveformRunner, two_tone_plan
 
 
@@ -48,6 +55,18 @@ class TestFingerprint:
         payload = design.canonical_dict()
         assert payload["technology"]["vth_n"] == design.technology.vth_n
         assert payload["load_resistance"] == design.load_resistance
+
+    def test_canonical_dict_equals_dataclasses_asdict(self, design):
+        # The field walk must keep the content (and so every fingerprint)
+        # of the deep-copying ``asdict`` it replaced.
+        corner = replace(design, technology=design.technology.corner(
+            "ff", vth_shift=-0.03, mobility_scale=1.1))
+        drawn = sample_design(design, np.random.default_rng(5),
+                              DeviceSpread(), "mc-0003")
+        for record in (design, corner, drawn):
+            assert record.canonical_dict() == asdict(record)
+            assert list(record.canonical_dict()) == list(asdict(record))
+            assert record.technology.to_dict() == asdict(record.technology)
 
 
 def _fingerprint_in_worker(design: MixerDesign) -> tuple[str | None, str]:
@@ -115,23 +134,47 @@ class TestRunnerIntegration:
 
     def test_failed_write_is_counted_not_raised(self, design, tmp_path,
                                                 monkeypatch):
-        def full_disk(source, target):
-            raise OSError(errno.ENOSPC, "No space left on device")
+        SweepRunner(design, cache=tmp_path).run(modes=[MixerMode.PASSIVE])
 
-        monkeypatch.setattr(cache_module.os, "replace", full_disk)
+        def read_only(path):
+            return sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                                   check_same_thread=False)
+
+        # A fresh connection registry, so the next store opens read-only
+        # and its INSERT fails with sqlite3.OperationalError.
+        monkeypatch.setattr(cache_module, "_open", read_only)
+        monkeypatch.setattr(cache_module, "_connections", OrderedDict())
         runner = SweepRunner(design, cache=tmp_path)
         result = runner.run(modes=[MixerMode.ACTIVE])
         uncached = SweepRunner(design).run(modes=[MixerMode.ACTIVE])
         for spec in uncached.spec_names:
             np.testing.assert_array_equal(result.data[spec],
                                           uncached.data[spec])
-        assert list(tmp_path.iterdir()) == []  # no .tmp- file left behind
         assert runner.cache.write_errors == 1
         assert runner.cache.stores == 0
+        assert list(_rows(tmp_path)) == [
+            runner.cache.entry_key(design, MixerMode.PASSIVE)]
 
 
 #: The mode every contract cell is evaluated in.
 MODE = MixerMode.ACTIVE
+
+
+@contextlib.contextmanager
+def _database(directory: Path):
+    """A second, test-side connection to a cache directory's database."""
+    connection = sqlite3.connect(directory / cache_module.DATABASE_NAME)
+    try:
+        with connection:
+            yield connection
+    finally:
+        connection.close()
+
+
+def _rows(directory: Path) -> dict[str, str]:
+    """Every stored entry of a cache directory, by key."""
+    with _database(directory) as connection:
+        return dict(connection.execute("SELECT key, entry FROM cells"))
 
 
 @dataclass(frozen=True)
@@ -209,10 +252,10 @@ class TestCellCacheContract:
     def test_corrupt_entry_misses_and_is_rewritten(self, namespace, design,
                                                    tmp_path, corrupt):
         cold = namespace.run(design, tmp_path)
-        path = namespace.kind(tmp_path).entry_path(design, MODE,
-                                                   namespace.plan)
-        path.write_text(corrupt(path.read_text(encoding="utf-8")),
-                        encoding="utf-8")
+        key = namespace.kind(tmp_path).entry_key(design, MODE, namespace.plan)
+        with _database(tmp_path) as connection:
+            connection.execute("UPDATE cells SET entry = ? WHERE key = ?",
+                               (corrupt(_rows(tmp_path)[key]), key))
         cache = namespace.kind(tmp_path)
         _assert_same(namespace.run(design, cache), cold)
         assert (cache.corrupt, cache.hits, cache.stores) == (1, 0, 1)
@@ -271,12 +314,12 @@ class TestCellCacheContract:
                                             tmp_path, monkeypatch):
         cold = {name: ns.run(design, tmp_path)
                 for name, ns in namespaces.items()}
-        assert len(list(tmp_path.iterdir())) == 3
+        assert len(_rows(tmp_path)) == 3
         variant = replace(design, degeneration_resistance=75.0)
-        paths = {ns.kind(tmp_path).entry_path(record, mode, ns.plan)
-                 for ns in namespaces.values()
-                 for record in (design, variant) for mode in MixerMode}
-        assert len(paths) == 3 * 2 * len(MixerMode)
+        keys = {ns.kind(tmp_path).entry_key(record, mode, ns.plan)
+                for ns in namespaces.values()
+                for record in (design, variant) for mode in MixerMode}
+        assert len(keys) == 3 * 2 * len(MixerMode)
         for bumped, bumped_ns in namespaces.items():
             with monkeypatch.context() as patched:
                 patched.setattr(bumped_ns.kind, "version",
@@ -285,6 +328,119 @@ class TestCellCacheContract:
                     cache = ns.kind(tmp_path)
                     _assert_same(ns.run(design, cache), cold[name])
                     assert cache.hits == (0 if name == bumped else 1)
+
+
+    def test_not_a_database_degrades_to_uncached(self, namespace, design,
+                                                 tmp_path):
+        expected = namespace.run(design, None)
+        (tmp_path / cache_module.DATABASE_NAME).write_bytes(b"junk" * 512)
+        for _ in range(2):
+            cache = namespace.kind(tmp_path)
+            _assert_same(namespace.run(design, cache), expected)
+            assert (cache.hits, cache.misses, cache.stores,
+                    cache.write_errors) == (0, 1, 0, 1)
+
+    def test_one_block_read_and_one_block_store_per_run(
+            self, namespace, design, tmp_path, monkeypatch):
+        calls = []
+        for name in ("load_many", "store_many"):
+            def spy(self, cells, name=name,
+                    original=getattr(cache_module.CellCache, name)):
+                cells = list(cells)
+                calls.append((name, len(cells)))
+                return original(self, cells)
+            monkeypatch.setattr(cache_module.CellCache, name, spy)
+        args = () if namespace.plan is None else (namespace.plan,)
+        designs = [design, replace(design, degeneration_resistance=75.0)]
+        cells = len(designs) * len(MixerMode)
+        for stored in (cells, 0):  # cold, then warm
+            calls.clear()
+            cache = namespace.kind(tmp_path)
+            namespace.engine(design, cache=cache).run(*args, designs=designs)
+            assert calls == [("load_many", cells), ("store_many", stored)]
+            assert cache.hits == cells - stored
+
+    def test_two_processes_write_the_same_cells(self, namespace, design,
+                                                tmp_path):
+        designs = [replace(design, tca_gm=design.tca_gm * (1 + 0.01 * k))
+                   for k in range(3)]
+        uncached = _run_designs(namespace, designs, None)[0]
+        # This process holds a connection to the directory when the
+        # workers fork; they must open their own.
+        _run_designs(namespace, designs[:1], tmp_path)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            shards = list(pool.map(_run_designs, [namespace] * 2,
+                                   [designs] * 2, [tmp_path] * 2))
+        for data, write_errors in shards:
+            _assert_same(data, uncached)
+            assert write_errors == 0
+        assert len(_rows(tmp_path)) == len(designs) * len(MixerMode)
+        warm = namespace.kind(tmp_path)
+        _assert_same(_run_designs(namespace, designs, warm)[0], uncached)
+        assert warm.hits == len(designs) * len(MixerMode)
+
+    def test_threads_share_the_connection_registry(self, design, tmp_path):
+        # More threads than cores and more directories than open
+        # connections, so evictions race with reads and writes.
+        value = ReconfigurableMixer(design, MODE).spec_intermediates()
+        directories = [tmp_path / f"d{index}" for index in
+                       range(cache_module._MAX_CONNECTIONS + 2)]
+        caches, errors = [], []
+
+        def hammer(offset: int) -> None:
+            try:
+                for round_ in range(20):
+                    directory = directories[(offset + round_)
+                                            % len(directories)]
+                    cache = SpecCache(directory)
+                    caches.append(cache)
+                    cache.store(design, MODE, value)
+                    assert cache.load(design, MODE) == value
+            except Exception as error:  # pragma: no cover - the regression
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,))
+                       for offset in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert sum(cache.hits for cache in caches) == 6 * 20
+        assert sum(cache.write_errors + cache.corrupt
+                   for cache in caches) == 0
+        assert len(cache_module._connections) <= \
+            cache_module._MAX_CONNECTIONS
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd")
+    def test_open_connections_stay_bounded(self, design, tmp_path):
+        before = len(os.listdir("/proc/self/fd"))
+        cells = SpecCache(tmp_path / "source")
+        SweepRunner(design, cache=cells).run(modes=[MODE])
+        value = cells.load(design, MODE)
+        for index in range(3 * cache_module._MAX_CONNECTIONS):
+            SpecCache(tmp_path / f"d{index}").store(design, MODE, value)
+        assert len(cache_module._connections) <= \
+            cache_module._MAX_CONNECTIONS
+        # Three descriptors (database, WAL, shared memory) per connection.
+        assert len(os.listdir("/proc/self/fd")) - before <= \
+            3 * cache_module._MAX_CONNECTIONS
+
+
+def _run_designs(namespace: Namespace, designs, cache
+                 ) -> tuple[dict[str, np.ndarray], int]:
+    """(the engine's data over ``designs``, its cache's write errors)."""
+    args = () if namespace.plan is None else (namespace.plan,)
+    runner = namespace.engine(designs[0], cache=cache)
+    data = runner.run(*args, designs=designs).data
+    return data, 0 if runner.cache is None else runner.cache.write_errors
 
 
 class TestSpecIntermediatesSerialization:

@@ -61,10 +61,12 @@ Run by the CI ``serve-smoke`` job and by hand::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
 import signal
+import sqlite3
 import subprocess
 import sys
 import tempfile
@@ -503,7 +505,14 @@ def _engine_cache_requests() -> list[dict]:
 
 
 def _cache_cells(spec_cache: str) -> int:
-    return sum(1 for path in Path(spec_cache).rglob("*") if path.is_file())
+    """Cells stored in the engine cache's database (0 before it exists)."""
+    from repro.sweep.cache import DATABASE_NAME
+
+    database = Path(spec_cache) / DATABASE_NAME
+    if not database.exists():
+        return 0
+    with contextlib.closing(sqlite3.connect(database)) as connection:
+        return connection.execute("SELECT COUNT(*) FROM cells").fetchone()[0]
 
 
 def check_engine_cache_batch(base_url: str, spec_cache: str,
