@@ -40,11 +40,13 @@ from repro.core.config import (
     paper_targets,
 )
 from repro.core.load import TransmissionGateLoad
+from repro.core.power import PowerBudget
 from repro.core.switches import PmosSwitch
 from repro.core.switching_quad import LoDrive, SwitchingQuad
 from repro.core.tia import TransimpedanceAmplifier
 from repro.core.transconductance import (
     TransconductanceAmplifier,
+    band_edges_from,
     band_magnitude,
     solve_gm_block,
     solve_widths,
@@ -298,18 +300,18 @@ solve_widths` element seeds both TCA configurations with one shared
     def spec_intermediates(self) -> SpecIntermediates:
         """The frequency-independent spec scalars of the current mode.
 
-        Computed once per mode and cached for the lifetime of the mixer
-        (the design record is frozen, so nothing can invalidate the entry).
+        Computed once per mode — by :func:`solve_intermediates` as a block
+        of one — and cached for the lifetime of the mixer (the design
+        record is frozen, so nothing can invalidate the entry).
         Both the scalar spec accessors and the vectorized array variants read
         this cache; the sweep engine relies on it to keep per-grid-cell work
         down to pure NumPy array maths.
         """
         cached = self._intermediates.get(self._mode)
-        if cached is not None:
-            return cached
-        intermediates = self._compute_intermediates()
-        self._intermediates[self._mode] = intermediates
-        return intermediates
+        if cached is None:
+            solve_intermediates([self], self._mode)
+            cached = self._intermediates[self._mode]
+        return cached
 
     def seed_intermediates(self, intermediates: SpecIntermediates) -> None:
         """Install externally solved intermediates (the on-disk spec cache).
@@ -333,24 +335,6 @@ solve_widths` element seeds both TCA configurations with one shared
         without triggering the very solves it is trying to batch.
         """
         return self._intermediates.get(mode)
-
-    def _compute_intermediates(self) -> SpecIntermediates:
-        iip3 = self._compute_iip3_dbm()
-        band_low, band_high = self.transconductor.band_edges(
-            self._coupling_capacitance(), self._band_node_resistance())
-        gain = SWITCHING_FACTOR * self._effective_gm() * self._load_resistance()
-        return SpecIntermediates(
-            mode=self._mode,
-            peak_gain_db=float(db_from_voltage_ratio(gain)),
-            band_low_hz=band_low,
-            band_high_hz=band_high,
-            white_nf_db=self._compute_white_noise_figure_db(),
-            flicker_corner_hz=self.switching_quad.flicker_corner(self._mode),
-            iip3_dbm=iip3,
-            iip2_dbm=self._compute_iip2_dbm(),
-            p1db_dbm=self._compute_p1db_dbm(iip3),
-            power_mw=self._compute_power_mw(),
-        )
 
     # -- conversion gain -------------------------------------------------------------
 
@@ -403,48 +387,6 @@ solve_widths` element seeds both TCA configurations with one shared
         """DSB noise figure well above the flicker corner (dB); memoized."""
         return self.spec_intermediates().white_nf_db
 
-    def _compute_white_noise_figure_db(self) -> float:
-        """DSB noise figure well above the flicker corner (dB).
-
-        The noise factor is a sum of physically identifiable terms referred
-        to the 50 ohm source:
-
-        * the Gm-device channel noise ``2 gamma / (gm Rs)``;
-        * the degeneration resistance (passive mode only);
-        * the quad switch on-resistances (passive mode only — in active mode
-          their cyclostationary contribution is folded into the switching
-          excess term);
-        * the commutation excess (LO noise folding, calibrated);
-        * the load / TIA noise referred through the conversion gain.
-        """
-        design = self.design
-        technology = design.technology
-        rs = REFERENCE_IMPEDANCE
-        gamma = technology.gamma_noise
-        gm = self.transconductor.raw_gm
-        gm_eff = self._effective_gm()
-
-        factor = 1.0
-        factor += 2.0 * gamma / (gm * rs)
-        factor += self.switching_quad.noise_excess_factor(self._mode)
-
-        if self._mode is MixerMode.PASSIVE:
-            factor += 2.0 * design.degeneration_resistance / rs
-            factor += 4.0 * self.switching_quad.switch_on_resistance / rs
-            conversion = SWITCHING_FACTOR * gm_eff
-            # R_F thermal noise referred to the RF input.
-            factor += 2.0 / (conversion ** 2 * design.feedback_resistance * rs)
-            # OTA input noise referred to the RF input through the voltage gain.
-            gain_voltage = conversion * design.feedback_resistance
-            ota_psd = 2.0 * self.tia.ota.input_noise_density ** 2
-            source_psd = 4.0 * BOLTZMANN * technology.temperature * rs
-            factor += ota_psd / (source_psd * gain_voltage ** 2)
-        else:
-            conversion = SWITCHING_FACTOR * gm_eff
-            factor += 2.0 / (conversion ** 2 * design.load_resistance * rs)
-
-        return float(noise_figure_from_factor(factor))
-
     def flicker_corner_hz(self) -> float:
         """1/f corner frequency of the current mode (Hz)."""
         return self.spec_intermediates().flicker_corner_hz
@@ -473,20 +415,6 @@ solve_widths` element seeds both TCA configurations with one shared
         """IIP3 of the (possibly degenerated) Gm stage alone (dBm)."""
         return self.transconductor.iip3_dbm()
 
-    def output_stage_iip3_dbm(self) -> float:
-        """Input-referred IIP3 contribution of the output network (dBm).
-
-        Active mode: the transmission-gate load / Gilbert-core headroom
-        intercept referred through the conversion gain.  Passive mode: the
-        TIA feedback suppresses the OTA's weak nonlinearity, so this term is
-        effectively absent (returned as +inf).
-        """
-        if self._mode is MixerMode.PASSIVE:
-            return math.inf
-        output_intercept = self.load.output_intercept_vpeak()
-        gain = SWITCHING_FACTOR * self._effective_gm() * self._load_resistance()
-        return float(dbm_from_vpeak(output_intercept / gain))
-
     def iip3_dbm(self) -> float:
         """Composite input-referred IIP3 (dBm) of the current mode; memoized.
 
@@ -497,21 +425,6 @@ solve_widths` element seeds both TCA configurations with one shared
         """
         return self.spec_intermediates().iip3_dbm
 
-    def _compute_iip3_dbm(self) -> float:
-        contributions_dbm = [self.gm_stage_iip3_dbm(),
-                             self.switching_quad.iip3_dbm(self._mode),
-                             self.output_stage_iip3_dbm()]
-        inverse_sum = 0.0
-        for value in contributions_dbm:
-            if math.isinf(value):
-                continue
-            amplitude = float(vpeak_from_dbm(value))
-            inverse_sum += 1.0 / (amplitude ** 2)
-        if inverse_sum == 0.0:
-            return math.inf
-        total_amplitude = math.sqrt(1.0 / inverse_sum)
-        return float(dbm_from_vpeak(total_amplitude))
-
     def iip2_dbm(self) -> float:
         """Input-referred IIP2 (dBm), limited by differential mismatch.
 
@@ -520,15 +433,6 @@ solve_widths` element seeds both TCA configurations with one shared
         Gm device scaled by the fractional mismatch.
         """
         return self.spec_intermediates().iip2_dbm
-
-    def _compute_iip2_dbm(self) -> float:
-        coefficients = self.transconductor.taylor_coefficients()
-        mismatch = self.design.differential_mismatch
-        if mismatch <= 0 or coefficients.g2 == 0.0:
-            return math.inf
-        single_ended_aiip2 = abs(coefficients.g1 / coefficients.g2)
-        balanced_aiip2 = single_ended_aiip2 / mismatch
-        return float(dbm_from_vpeak(balanced_aiip2))
 
     def p1db_dbm(self) -> float:
         """Analytic estimate of the input 1 dB compression point (dBm).
@@ -539,26 +443,11 @@ solve_widths` element seeds both TCA configurations with one shared
         """
         return self.spec_intermediates().p1db_dbm
 
-    def _compute_p1db_dbm(self, iip3_dbm: float) -> float:
-        candidates = [iip3_dbm - 9.6]
-        gain = SWITCHING_FACTOR * self._effective_gm() * self._load_resistance()
-        # The output limiter used by the waveform model is a hard (6th-order)
-        # clip, which reaches 1 dB of compression when the ideal output is at
-        # about 98 % of the swing limit.
-        swing_limited_input = 0.98 * self.design.output_swing_limit / gain
-        candidates.append(float(dbm_from_vpeak(swing_limited_input)))
-        return min(candidates)
-
     # -- power -----------------------------------------------------------------------------
 
     def power_mw(self) -> float:
         """Supply power of the current mode (mW); see :mod:`repro.core.power`."""
         return self.spec_intermediates().power_mw
-
-    def _compute_power_mw(self) -> float:
-        from repro.core.power import PowerBudget
-
-        return PowerBudget(self.design).total_mw(self._mode)
 
     # -- aggregate -----------------------------------------------------------------------------
 
@@ -763,10 +652,11 @@ solve_widths` element seeds both TCA configurations with one shared
         return f"ReconfigurableMixer(mode={self._mode.value})"
 
 
-#: Minimum number of pending designs before the block solvers take over
-#: from the lazy per-cell scalar path.  A single design gains nothing from
-#: a block (its array loops lose to the scalar code), so solo requests stay
-#: on the scalar path.
+#: Minimum number of pending designs before the Gm-stage block solvers
+#: take over from the lazy per-cell scalar path.  A single design gains
+#: nothing from them (their array loops lose to the scalar code), so solo
+#: requests solve their Gm stage lazily.  The spec intermediates are one
+#: :func:`solve_intermediates` pass at any block size.
 BATCH_THRESHOLD = 2
 
 
@@ -808,3 +698,99 @@ def presolve_cells(
     solve_gm_block([tca for _, tca in stages],
                    [label for label, _ in stages])
     return len(block)
+
+
+def _squared(values: np.ndarray) -> np.ndarray:
+    """``x ** 2`` through libm pow(), as CPython squares a float; numpy's
+    ``x * x`` differs by 1 ulp for ~0.1 % of inputs."""
+    return np.float_power(values, 2.0)
+
+
+def solve_intermediates(mixers: Iterable[ReconfigurableMixer],
+                        mode: MixerMode) -> int:
+    """Compute ``mode``'s :class:`SpecIntermediates` for a block of mixers.
+
+    Every mixer lacking the entry (each distinct mixer once) gets it in
+    one NumPy pass: the closed forms run elementwise, each element through
+    the same IEEE operation sequence, so a block of N is bitwise N blocks
+    of one.  Gm-stage memos are read as they stand, solved lazily where
+    :func:`presolve_cells` has not seeded them.  Returns how many mixers
+    were filled; :meth:`ReconfigurableMixer.spec_intermediates` is the
+    block of one.
+    """
+    pending = list({id(mixer): mixer for mixer in mixers
+                    if mixer.peek_intermediates(mode) is None}.values())
+    if not pending:
+        return 0
+    passive = mode is MixerMode.PASSIVE
+    rows = []
+    for mixer in pending:
+        design, quad = mixer.design, mixer.switching_quad
+        stage = mixer.transconductor_for(mode)
+        taylor = stage.taylor_coefficients()
+        rows.append([
+            taylor.g1, taylor.g2, taylor.g3, stage.raw_gm,
+            stage.degeneration_resistance, mixer._load_resistance(mode),
+            mixer._coupling_capacitance(mode),
+            mixer._band_node_resistance(mode), design.parasitic_capacitance,
+            design.technology.gamma_noise, quad.noise_excess_factor(mode),
+            quad.flicker_corner(mode), quad.iip3_dbm(mode),
+            design.differential_mismatch, design.output_swing_limit,
+            PowerBudget(design).total_mw(mode),
+            # Terms one mode lacks: zero noise, an infinite intercept.
+            *((quad.switch_on_resistance, mixer.tia.ota.input_noise_density,
+               design.technology.temperature, math.inf) if passive else
+              (0.0, 0.0, 0.0, mixer.load.output_intercept_vpeak()))])
+    (g1, g2, g3, gm, r_deg, r_load, c_couple, r_node, c_par, gamma,
+     excess, flicker_corner, quad_iip3, mismatch, swing, power, r_on,
+     ota_noise, temperature, output_intercept) = \
+        np.array(rows, dtype=float).T.copy()
+
+    rs = REFERENCE_IMPEDANCE
+    gm_eff = gm / (1.0 + gm * r_deg)
+    conversion = SWITCHING_FACTOR * gm_eff
+    gain = conversion * r_load
+    band_low, band_high = band_edges_from(c_couple, r_node, c_par)
+
+    # Noise factor referred to the 50 ohm source: Gm-device channel noise,
+    # commutation excess (calibrated LO noise folding), the degeneration
+    # and the quad switches' R_on (passive), the load or R_F referred
+    # through the conversion gain, and the OTA input noise (passive).
+    factor = 1.0 + 2.0 * gamma / (gm * rs)
+    factor += excess
+    factor += 2.0 * r_deg / rs
+    factor += 4.0 * r_on / rs
+    factor += 2.0 / (_squared(conversion) * r_load * rs)
+    if passive:
+        factor += 2.0 * _squared(ota_noise) / (
+            4.0 * BOLTZMANN * temperature * rs * _squared(gain))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # IIP3: the Gm stage, the quad's R_on modulation (passive) and the
+        # output network (active; in passive mode the TIA feedback
+        # suppresses it) combine as 1/A^2 = sum(1/A_k^2) at the input; an
+        # infinite intercept contributes nothing.
+        gm_stage_iip3 = np.where(g3 == 0.0, math.inf, dbm_from_vpeak(
+            np.sqrt((4.0 / 3.0) * np.abs(g1 / g3))))
+        inverse_sum = 0.0
+        for term in (gm_stage_iip3, quad_iip3,
+                     dbm_from_vpeak(output_intercept / gain)):
+            inverse_sum = inverse_sum + np.where(
+                np.isinf(term), 0.0, 1.0 / _squared(vpeak_from_dbm(term)))
+        iip3 = np.where(inverse_sum == 0.0, math.inf,
+                        dbm_from_vpeak(np.sqrt(1.0 / inverse_sum)))
+        # IIP2: the mismatch-scaled residue of the single-ended g2 term.
+        iip2 = np.where((mismatch <= 0) | (g2 == 0.0), math.inf,
+                        dbm_from_vpeak(np.abs(g1 / g2) / mismatch))
+    # P1dB: the smaller of IIP3 - 9.6 dB and the swing limit, which the
+    # waveform model's 6th-order clip compresses by 1 dB at ~98 %.
+    third_order = iip3 - 9.6
+    swing_limited = dbm_from_vpeak(0.98 * swing / gain)
+    p1db = np.where(swing_limited < third_order, swing_limited, third_order)
+
+    columns = (db_from_voltage_ratio(gain), band_low, band_high,
+               noise_figure_from_factor(factor), flicker_corner, iip3, iip2,
+               p1db, power)
+    for mixer, values in zip(pending, zip(*(c.tolist() for c in columns))):
+        mixer.seed_intermediates(SpecIntermediates(mode, *values))
+    return len(pending)

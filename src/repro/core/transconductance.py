@@ -400,15 +400,8 @@ class TransconductanceAmplifier:
         quad in passive mode).  Minimising C_PAR is what the paper credits
         for the wide band.
         """
-        if coupling_capacitance <= 0:
-            raise ValueError("coupling capacitance must be positive")
-        if output_node_resistance <= 0:
-            raise ValueError("output node resistance must be positive")
-        source_resistance = 2.0 * REFERENCE_IMPEDANCE
-        low_edge = 1.0 / (2.0 * math.pi * source_resistance * coupling_capacitance)
-        high_edge = 1.0 / (2.0 * math.pi * output_node_resistance *
-                           self.design.parasitic_capacitance)
-        return low_edge, high_edge
+        return band_edges_from(coupling_capacitance, output_node_resistance,
+                               self.design.parasitic_capacitance)
 
     def band_response(self, rf_frequency: float | np.ndarray,
                       coupling_capacitance: float,
@@ -422,6 +415,21 @@ class TransconductanceAmplifier:
         response = band_magnitude(rf_frequency, *self.band_edges(
             coupling_capacitance, output_node_resistance))
         return response if np.ndim(rf_frequency) else float(response)
+
+
+def band_edges_from(coupling_capacitance, output_node_resistance,
+                    parasitic_capacitance) -> tuple:
+    """:meth:`~TransconductanceAmplifier.band_edges` from the network
+    values; the arguments broadcast, so a design block is one call."""
+    if np.any(np.asarray(coupling_capacitance) <= 0):
+        raise ValueError("coupling capacitance must be positive")
+    if np.any(np.asarray(output_node_resistance) <= 0):
+        raise ValueError("output node resistance must be positive")
+    source_resistance = 2.0 * REFERENCE_IMPEDANCE
+    low_edge = 1.0 / (2.0 * math.pi * source_resistance * coupling_capacitance)
+    high_edge = 1.0 / (2.0 * math.pi * output_node_resistance *
+                       parasitic_capacitance)
+    return low_edge, high_edge
 
 
 def band_magnitude(rf_frequency: float | np.ndarray,

@@ -508,12 +508,8 @@ class MosfetArray:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # The scalar model writes ``degradation ** 2``, which CPython
             # routes through libm pow() — occasionally 1 ulp away from the
-            # x*x that numpy lowers ``arr ** 2`` to.  Square per element
-            # through math.pow to honour the bit-identity contract.
-            deg_sq = np.fromiter(
-                (math.pow(v, 2.0) for v in degradation.flat),
-                dtype=float, count=degradation.size,
-            ).reshape(degradation.shape)
+            # x*x that numpy lowers ``arr ** 2`` to; float_power is pow().
+            deg_sq = np.float_power(degradation, 2.0)
             gm_sat = beta * vov * (1.0 + 0.5 * theta * vov) / deg_sq
             gm_sat = gm_sat * clm
             gds_sat = 0.5 * beta_eff * vov * vov * lam
@@ -546,7 +542,7 @@ class MosfetArray:
         """Per-element drain current magnitude (A), bit-equal to the scalar.
 
         The id-only twin of :meth:`operating_point` for iterative solvers:
-        it skips gm/gds and with them the per-element ``math.pow`` loop.
+        it skips gm/gds.
         """
         return self._current(*self._normalise(vgs, vds))[0]
 

@@ -6,8 +6,9 @@ frequency** without per-point Python loops.  The split of labour is:
 
 * everything that does not depend on the swept frequencies (device sizing,
   bias solutions, effective gm, noise floors, linearity intercepts, power)
-  is computed **once per (design, mode) cell** through
-  :meth:`ReconfigurableMixer.spec_intermediates` and memoized on the mixer;
+  is computed **once per (design, mode) cell**, in one array pass per
+  mode (:func:`~repro.core.reconfigurable_mixer.solve_intermediates`),
+  and memoized on the mixer;
 * the frequency-shaped specs (conversion gain, noise figure) are then
   evaluated over every design x RF x IF cell of a mode in **one NumPy
   broadcast call**, through the helpers behind the array accessors
@@ -40,6 +41,7 @@ from repro.core.reconfigurable_mixer import (
     ReconfigurableMixer,
     conversion_gain_db_from,
     presolve_cells,
+    solve_intermediates,
 )
 from repro.rf.noise_figure import nf_with_flicker
 from repro.sweep.cache import SpecCache, resolve_cache
@@ -195,14 +197,13 @@ class SweepRunner:
                    mode_index: int, rf: np.ndarray, if_: np.ndarray) -> None:
         """Evaluate every configured spec for one mode's cells in one broadcast.
 
-        Per-cell scalars stack along a leading design axis against the
+        Uncovered cells get their intermediates in one block pass; the
+        per-cell scalars stack along a leading design axis against the
         shared RF (middle) and IF (last) axes, through the same helpers the
         scalar accessors call, so every value is bit-identical to them.
         """
-        cells = []
-        for mixer in mixers:
-            mixer.set_mode(mode)
-            cells.append(mixer.spec_intermediates())
+        solve_intermediates(mixers, mode)
+        cells = [mixer.peek_intermediates(mode) for mixer in mixers]
 
         def column(values) -> np.ndarray:
             return np.array(list(values), dtype=float)[:, None, None]

@@ -185,9 +185,22 @@ class TestDesignKnobs:
         assert linear.gm_stage_iip3_dbm() > base.gm_stage_iip3_dbm()
         assert linear.conversion_gain_db() < base.conversion_gain_db()
 
-    def test_output_stage_only_limits_active_mode(self, active_mixer, passive_mixer):
-        assert math.isfinite(active_mixer.output_stage_iip3_dbm())
-        assert math.isinf(passive_mixer.output_stage_iip3_dbm())
+    def test_output_stage_only_limits_active_mode(self, design):
+        # With the passive quad term removed, the passive composite is the
+        # Gm stage's intercept alone; a stronger output network raises the
+        # active composite and leaves the passive one untouched.
+        no_quad = replace(design, passive_quad_iip3_dbm=math.inf)
+        stronger = replace(no_quad, active_output_ip3_factor=2.0
+                           * design.active_output_ip3_factor)
+        active = ReconfigurableMixer(no_quad, MixerMode.ACTIVE)
+        passive = ReconfigurableMixer(no_quad, MixerMode.PASSIVE)
+        assert active.iip3_dbm() < active.gm_stage_iip3_dbm()
+        assert passive.iip3_dbm() == pytest.approx(
+            passive.gm_stage_iip3_dbm(), abs=1e-9)
+        assert ReconfigurableMixer(stronger, MixerMode.ACTIVE).iip3_dbm() \
+            > active.iip3_dbm()
+        assert ReconfigurableMixer(stronger, MixerMode.PASSIVE).iip3_dbm() \
+            == passive.iip3_dbm()
 
 
 class TestFrontEnd:

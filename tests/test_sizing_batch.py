@@ -11,7 +11,9 @@ to the lazy scalar solve, since both call the same function), the
 :class:`MosfetArray` device model against the scalar :class:`Mosfet`, and
 the Gm-stage block solver (:func:`~repro.core.transconductance.\
 solve_gm_block`: bias point and Taylor expansion) bitwise against the lazy
-scalar path it replaces for design blocks.  It also carries the regression
+scalar path it replaces for design blocks, and the spec-intermediates
+block pass (:func:`~repro.core.reconfigurable_mixer.solve_intermediates`):
+a block of N bitwise equal to N blocks of one.  It also carries the regression
 test for the degenerated-bias fixed-point loop, which raises instead of
 silently returning a stale current when it fails to converge, and the
 work-count pins of a cold fig8 request and a default yield search.
@@ -27,7 +29,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import MixerDesign, MixerMode
-from repro.core.reconfigurable_mixer import ReconfigurableMixer, presolve_cells
+import repro.core.reconfigurable_mixer as mixer_module
+import repro.sweep.runner as runner_module
+from repro.core.reconfigurable_mixer import (
+    ReconfigurableMixer,
+    SpecIntermediates,
+    presolve_cells,
+    solve_intermediates,
+)
 from repro.api import MixerService, SpecRequest
 from repro.core.transconductance import (
     TransconductanceAmplifier,
@@ -40,7 +49,9 @@ from repro.core.transconductance import (
 )
 from repro.devices.mosfet import Mosfet, MosfetArray, MosfetRegion
 from repro.devices.technology import UMC65_LIKE, fast_corner, slow_corner
+from repro.sweep import SweepRunner
 from repro.sweep.montecarlo import DeviceSpread, sample_design
+from repro.sweep.runner import ALL_SPECS
 
 # Sizing solves are deterministic but not instant; keep example counts sane.
 COMMON_SETTINGS = settings(max_examples=25, deadline=None)
@@ -550,6 +561,207 @@ class TestGmBlockSolver:
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
             solve_gm_block([TransconductanceAmplifier(MixerDesign())], [])
+
+
+def _bits(cell: SpecIntermediates) -> tuple:
+    """A cell's fields as exact bit patterns (``==`` would merge -0.0)."""
+    return (cell.mode,) + tuple(float(getattr(cell, name)).hex()
+                                for name in SpecIntermediates.FLOAT_FIELDS)
+
+
+def _solo(design: MixerDesign, mode: MixerMode) -> SpecIntermediates:
+    """The cell as a block of one, on a fresh lazily solved mixer."""
+    return ReconfigurableMixer(design, mode).spec_intermediates()
+
+
+def _scalar_reference(mixer: ReconfigurableMixer,
+                      mode: MixerMode) -> SpecIntermediates:
+    """The intermediates in scalar Python floats: the reference the block
+    pass must reproduce bit for bit (``**`` is CPython's libm pow)."""
+    from repro.core.power import PowerBudget
+    from repro.rf.conversion_gain import SWITCHING_FACTOR
+    from repro.rf.noise_figure import noise_figure_from_factor
+    from repro.units import BOLTZMANN, db_from_voltage_ratio, \
+        dbm_from_vpeak, vpeak_from_dbm
+    design, quad = mixer.design, mixer.switching_quad
+    stage = mixer.transconductor_for(mode)
+    taylor = stage.taylor_coefficients()
+    gm, gm_eff = stage.raw_gm, stage.effective_gm
+    load = mixer._load_resistance(mode)
+    gain = SWITCHING_FACTOR * gm_eff * load
+    rs = 50.0
+    factor = 1.0
+    factor += 2.0 * design.technology.gamma_noise / (gm * rs)
+    factor += quad.noise_excess_factor(mode)
+    conversion = SWITCHING_FACTOR * gm_eff
+    if mode is MixerMode.PASSIVE:
+        factor += 2.0 * design.degeneration_resistance / rs
+        factor += 4.0 * quad.switch_on_resistance / rs
+        factor += 2.0 / (conversion ** 2 * design.feedback_resistance * rs)
+        ota_psd = 2.0 * mixer.tia.ota.input_noise_density ** 2
+        source_psd = 4.0 * BOLTZMANN * design.technology.temperature * rs
+        factor += ota_psd / (source_psd * (conversion * load) ** 2)
+        output_iip3 = math.inf
+    else:
+        factor += 2.0 / (conversion ** 2 * design.load_resistance * rs)
+        output_iip3 = float(dbm_from_vpeak(
+            mixer.load.output_intercept_vpeak() / gain))
+    inverse_sum = 0.0
+    for value in (stage.iip3_dbm(), quad.iip3_dbm(mode), output_iip3):
+        if not math.isinf(value):
+            inverse_sum += 1.0 / float(vpeak_from_dbm(value)) ** 2
+    iip3 = math.inf if inverse_sum == 0.0 else \
+        float(dbm_from_vpeak(math.sqrt(1.0 / inverse_sum)))
+    mismatch = design.differential_mismatch
+    iip2 = math.inf if mismatch <= 0 or taylor.g2 == 0.0 else float(
+        dbm_from_vpeak(abs(taylor.g1 / taylor.g2) / mismatch))
+    band_low, band_high = stage.band_edges(
+        mixer._coupling_capacitance(mode), mixer._band_node_resistance(mode))
+    return SpecIntermediates(
+        mode, float(db_from_voltage_ratio(gain)), band_low, band_high,
+        float(noise_figure_from_factor(factor)), quad.flicker_corner(mode),
+        iip3, iip2, min(iip3 - 9.6, float(dbm_from_vpeak(
+            0.98 * design.output_swing_limit / gain))),
+        PowerBudget(design).total_mw(mode))
+
+
+def _block_population() -> list[MixerDesign]:
+    """The paper design, 32 Monte-Carlo draws, and two whose mismatch
+    leaves no even-order residue (zero, and a meaningless negative)."""
+    designs = [MixerDesign()] + _mc_designs(32, seed=23)
+    return designs + [replace(designs[7], differential_mismatch=mismatch)
+                      for mismatch in (-1e-3, 0.0)]
+
+
+def _spy_intermediate_blocks(monkeypatch) -> list[tuple[int, MixerMode]]:
+    """Record (cells filled, mode) of every block pass for the test."""
+    blocks: list = []
+    original = mixer_module.solve_intermediates
+
+    def spy(mixers, mode):
+        filled = original(mixers, mode)
+        blocks.append((filled, mode))
+        return filled
+    # The runner imports the function by name; patch both references.
+    monkeypatch.setattr(mixer_module, "solve_intermediates", spy)
+    monkeypatch.setattr(runner_module, "solve_intermediates", spy)
+    return blocks
+
+
+class TestIntermediatesBlock:
+    """One array pass per mode is bitwise N blocks of one."""
+
+    @pytest.mark.parametrize("presolved", [True, False],
+                             ids=["presolved", "lazy"])
+    @pytest.mark.parametrize("mode", _BOTH_MODES, ids=lambda m: m.value)
+    def test_block_equals_blocks_of_one(self, mode, presolved):
+        designs = _block_population()
+        mixers = ([ReconfigurableMixer(design) for design in designs]
+                  if not presolved else _presolved(designs, (mode,)))
+        # A repeated mixer is filled once.
+        assert solve_intermediates(mixers + mixers[:3], mode) == len(designs)
+        for design, mixer in zip(designs, mixers):
+            assert _bits(mixer.peek_intermediates(mode)) == \
+                _bits(_solo(design, mode)) == \
+                _bits(_scalar_reference(mixer, mode))
+        for mixer in mixers[-2:]:
+            assert mixer.peek_intermediates(mode).iip2_dbm == math.inf
+        assert math.isfinite(mixers[0].peek_intermediates(mode).iip2_dbm)
+        assert solve_intermediates(mixers, mode) == 0
+
+    def test_infinite_intercept_branches(self):
+        # g3 == 0 drops the Gm-stage term and g2 == 0 makes IIP2 +inf; a
+        # passive quad without its own intercept leaves no term at all.
+        from repro.core.transconductance import TAYLOR_DELTA, \
+            TaylorCoefficients
+        design = replace(MixerDesign(), passive_quad_iip3_dbm=math.inf)
+        for mode in _BOTH_MODES:
+            mixers = [ReconfigurableMixer(design) for _ in range(2)]
+            for mixer in mixers:
+                stage = mixer.transconductor_for(mode)
+                taylor = stage.taylor_coefficients()
+                stage._taylor_cache[TAYLOR_DELTA] = TaylorCoefficients(
+                    taylor.g1, 0.0, 0.0)
+            solve_intermediates(mixers[:1], mode)
+            mixers[1].set_mode(mode)
+            cell = mixers[0].peek_intermediates(mode)
+            assert _bits(cell) == _bits(mixers[1].spec_intermediates()) \
+                == _bits(_scalar_reference(mixers[1], mode))
+            assert math.isinf(cell.iip2_dbm)
+            assert math.isinf(cell.iip3_dbm) is (mode is MixerMode.PASSIVE)
+            assert math.isfinite(cell.p1db_dbm)
+
+    def test_squares_like_cpython_floats(self):
+        # The pass squares through libm pow(), as CPython's float ``** 2``
+        # does; numpy's x * x rounds differently for ~0.1 % of inputs.
+        values = np.exp(np.random.default_rng(5).uniform(-40, 40, 20_000))
+        assert mixer_module._squared(values).tolist() == \
+            [value ** 2 for value in values.tolist()]
+
+    def test_switch_in_cutoff_gives_infinite_passive_noise(self):
+        cutoff = replace(MixerDesign(), technology=replace(
+            MixerDesign().technology, vth_n=0.61))
+        mixers = [ReconfigurableMixer(design)
+                  for design in (MixerDesign(), cutoff)]
+        solve_intermediates(mixers, MixerMode.PASSIVE)
+        noisy = mixers[1].peek_intermediates(MixerMode.PASSIVE)
+        assert math.isinf(noisy.white_nf_db)
+        assert _bits(noisy) == _bits(_solo(cutoff, MixerMode.PASSIVE)) \
+            == _bits(_scalar_reference(mixers[1], MixerMode.PASSIVE))
+
+    def test_noise_factor_below_one_raises(self):
+        design = replace(MixerDesign(), switching_noise_excess=-50.0)
+        mixers = [ReconfigurableMixer(record)
+                  for record in (MixerDesign(), design)]
+        with pytest.raises(ValueError, match="noise factor cannot be below"):
+            solve_intermediates(mixers, MixerMode.ACTIVE)
+
+    def test_sweep_with_memoized_and_cached_cells(self, tmp_path,
+                                                  monkeypatch):
+        designs = _block_population()
+        grid = dict(rf_frequencies=[0.5e9, 2.405e9],
+                    if_frequencies=[50e3, 5e6])
+        # The first 8 designs' cells come from the engine cache, the next
+        # 4 are memoized in active mode, one design is repeated.
+        SweepRunner(specs=ALL_SPECS, cache=tmp_path).run(
+            designs=designs[:8], **grid)
+        runner = SweepRunner(specs=ALL_SPECS, cache=tmp_path)
+        runner.run(designs=designs[8:12], modes=[MixerMode.ACTIVE], **grid)
+        axis = designs + [designs[10]]
+        blocks = _spy_intermediate_blocks(monkeypatch)
+        sweep = runner.run(designs=axis, **grid)
+        assert blocks == [(len(designs) - 12, MixerMode.ACTIVE),
+                          (len(designs) - 8, MixerMode.PASSIVE)]
+        assert runner.cache.hits == 16
+        for mode_index, mode in enumerate(_BOTH_MODES):
+            for index, design in enumerate(axis):
+                solo = SweepRunner(design, specs=ALL_SPECS).run(
+                    modes=[mode], **grid)
+                for spec in ALL_SPECS:
+                    assert sweep.data[spec][index, mode_index].tobytes() \
+                        == solo.data[spec][0, 0].tobytes(), (index, spec)
+
+
+#: Block passes of a default ``yield_opt`` search: one per mode for each
+#: of its 3 generations (each scores 8 candidates x 16 corners at once).
+_YIELD_OPT_INTERMEDIATE_BLOCKS = 3 * len(_BOTH_MODES)
+
+
+def test_default_yield_opt_intermediate_blocks(monkeypatch):
+    from repro.optimize import run_yield_opt
+    blocks = _spy_intermediate_blocks(monkeypatch)
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
+    run_yield_opt()
+    assert len(blocks) == _YIELD_OPT_INTERMEDIATE_BLOCKS
+    assert sum(filled for filled, _ in blocks) == \
+        len(_BOTH_MODES) * _YIELD_OPT_CORNER_DESIGNS
+
+
+def test_cold_fig8_runs_two_blocks_of_one(monkeypatch):
+    blocks = _spy_intermediate_blocks(monkeypatch)
+    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
+    MixerService(response_cache=False).submit(SpecRequest(experiment="fig8"))
+    assert blocks == [(1, MixerMode.ACTIVE), (1, MixerMode.PASSIVE)]
 
 
 #: ``Mosfet.operating_point`` calls of a default-grid ``yield_opt`` search

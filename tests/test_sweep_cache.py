@@ -177,6 +177,13 @@ def _rows(directory: Path) -> dict[str, str]:
         return dict(connection.execute("SELECT key, entry FROM cells"))
 
 
+def _schema(directory: Path) -> str:
+    """The ``CREATE TABLE`` statement of a directory's cells table."""
+    with _database(directory) as connection:
+        return connection.execute("SELECT sql FROM sqlite_master "
+                                  "WHERE name = 'cells'").fetchone()[0]
+
+
 @dataclass(frozen=True)
 class Namespace:
     """One engine's cache flavour, its inline engine and its plan."""
@@ -339,6 +346,40 @@ class TestCellCacheContract:
             _assert_same(namespace.run(design, cache), expected)
             assert (cache.hits, cache.misses, cache.stores,
                     cache.write_errors) == (0, 1, 0, 1)
+
+    def test_without_rowid_table_still_serves(self, namespace, design,
+                                              tmp_path):
+        # Directories written before the cells table became a rowid table
+        # hold a WITHOUT ROWID table; it is kept and served unchanged.
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        expected = namespace.run(design, fresh)
+        assert "WITHOUT ROWID" not in _schema(fresh)
+        with _database(fresh) as connection:
+            assert connection.execute("SELECT rowid FROM cells").fetchall()
+        old.mkdir()
+        with _database(old) as connection:
+            connection.execute("CREATE TABLE cells (key TEXT PRIMARY KEY, "
+                               "entry TEXT NOT NULL) WITHOUT ROWID")
+            connection.executemany("INSERT INTO cells VALUES (?, ?)",
+                                   _rows(fresh).items())
+        cache = namespace.kind(old)
+        _assert_same(namespace.run(design, cache), expected)
+        assert (cache.hits, cache.misses, cache.stores) == (1, 0, 0)
+
+        other = replace(design, degeneration_resistance=75.0)
+        cache = namespace.kind(old)
+        _assert_same(namespace.run(other, cache), namespace.run(other, None))
+        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+
+        key = cache.entry_key(design, MODE, namespace.plan)
+        with _database(old) as connection:
+            connection.execute("UPDATE cells SET entry = ? WHERE key = ?",
+                               ("{not json", key))
+        cache = namespace.kind(old)
+        _assert_same(namespace.run(design, cache), expected)
+        assert (cache.corrupt, cache.hits, cache.stores) == (1, 0, 1)
+        assert len(_rows(old)) == 2
+        assert "WITHOUT ROWID" in _schema(old)
 
     def test_one_block_read_and_one_block_store_per_run(
             self, namespace, design, tmp_path, monkeypatch):
