@@ -7,19 +7,15 @@ Gates for the async job surface:
   :meth:`MixerService.submit` call, every time (this assertion always
   runs, smoke mode included);
 * **throughput** — sustained concurrent traffic on the hot (cached) path
-  must not collapse: the concurrent burst finishes within a loose factor
-  of the same requests issued serially (the persistent job-worker pool,
-  not per-request machinery, carries the load);
+  is answered from the response cache alone (a work count: every request
+  of the warm burst is a memory hit, none misses, none is shed) and must
+  not collapse: the concurrent burst finishes within a loose factor of
+  the same requests issued serially (the persistent job-worker pool, not
+  per-request machinery, carries the load).  The ratio carries the
+  ``timing`` marker;
 * **load shedding** — a saturated 1-worker, 1-slot server answers the
   overflow submit with 429 instead of queueing unboundedly, and the
-  metrics endpoint accounts for the shed;
-* **continuous micro-batching** — a burst of 32 concurrent single-design
-  ``fig8`` requests on a shared grid must run ≥3x faster through the
-  coalescing scheduler than with coalescing disabled, with responses
-  byte-identical between the two servers (and to a solo submit); a burst
-  of identical requests must execute the engine exactly once
-  (singleflight).  Identity and execution-count assertions always run;
-  the speedup ratio carries the ``timing`` marker.
+  metrics endpoint accounts for the shed.
 
 Timing gates are skipped in smoke mode (``--benchmark-disable``, the CI
 configuration), and ``timing``-marked ratio gates are deselected unless
@@ -29,13 +25,11 @@ run.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import threading
 import time
 import urllib.error
 import urllib.request
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -44,12 +38,7 @@ import pytest
 from conftest import record_comparison
 
 from repro.api import MixerService, SpecRequest, register_payload_type
-from repro.api.registry import (
-    ExperimentRegistry,
-    ExperimentSpec,
-    default_registry,
-)
-from repro.core.config import MixerDesign
+from repro.api.registry import ExperimentRegistry, ExperimentSpec
 from repro.serve import create_server, serve_in_thread
 
 #: Mixed traffic: cheap scalar experiments plus a small curve sweep, so the
@@ -125,6 +114,22 @@ class TestConcurrentStress:
         for name, payload in _burst(base_url, workers=CLIENTS):
             assert payload["result"] == expected[name]["result"], name
 
+    def test_warm_burst_is_answered_from_cache(self, served):
+        """Work-count twin of the throughput ratio: no engine run at all."""
+        _server, base_url = served
+        _burst(base_url, workers=1)  # warm the response cache
+        before = _get(base_url + "/v1/metrics")
+        results = _burst(base_url, workers=CLIENTS)
+        after = _get(base_url + "/v1/metrics")
+        assert len(results) == len(TRAFFIC) * REQUESTS_PER_CLIENT
+        cache_before, cache_after = (before["response_cache"],
+                                     after["response_cache"])
+        assert cache_after["memory_hits"] - cache_before["memory_hits"] \
+            == len(results)
+        assert cache_after["misses"] == cache_before["misses"]
+        assert after["jobs"]["shed"] == 0
+
+    @pytest.mark.timing
     def test_concurrent_throughput_does_not_collapse(self, served, request):
         if _smoke_mode(request):
             pytest.skip("timing gate runs in calibrated mode only")
@@ -181,166 +186,6 @@ def _hold_registry() -> ExperimentRegistry:
         default_grid={"wait": False},
         accepts_workers=False, accepts_cache=False))
     return registry
-
-
-#: The coalescing burst: 32 distinct designs, one shared fig8 grid — the
-#: shape continuous micro-batching exists for (independent single-design
-#: clients whose work is one vectorized design axis).
-COALESCE_CLIENTS = 32
-COALESCE_GRID = {"points": 24}
-MIN_COALESCE_SPEEDUP = 3.0
-
-
-def _coalesce_designs(count: int = COALESCE_CLIENTS) -> list[MixerDesign]:
-    return [MixerDesign().with_gain_setting(1.0 + 0.002 * index)
-            for index in range(count)]
-
-
-def _counting_fig8_registry(calls: Counter) -> ExperimentRegistry:
-    """A registry whose fig8 counts engine executions (runner/batch calls)."""
-    fig8 = default_registry().get("fig8")
-
-    def runner(design, **kwargs):
-        calls["runner"] += 1
-        return fig8.runner(design, **kwargs)
-
-    def batch_runner(designs, **kwargs):
-        calls["batch"] += 1
-        return fig8.batch_runner(designs, **kwargs)
-
-    registry = ExperimentRegistry()
-    registry.register(dataclasses.replace(fig8, runner=runner,
-                                          batch_runner=batch_runner))
-    return registry
-
-
-def _coalesce_server(window_ms: float, registry: ExperimentRegistry | None
-                     = None, max_coalesce: int = COALESCE_CLIENTS):
-    """A 1-worker server (merging is deterministic) with caching off.
-
-    The response cache stays off so every answer is engine work — the only
-    thing separating the two servers under test is the scheduler.
-    """
-    service = MixerService(
-        registry=registry if registry is not None else default_registry(),
-        response_cache=False)
-    server = create_server(service=service, job_workers=1, queue_limit=64,
-                           coalesce_window_ms=window_ms,
-                           max_coalesce=max_coalesce)
-    return server, serve_in_thread(server)
-
-
-def _fig8_burst(base_url: str, designs: list[MixerDesign]) -> list[dict]:
-    bodies = [SpecRequest(experiment="fig8", design=design,
-                          grid=dict(COALESCE_GRID)).to_dict()
-              for design in designs]
-    with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
-        return list(pool.map(
-            lambda body: _post(base_url + "/v1/spec", body), bodies))
-
-
-def _without_timing(payload: dict) -> dict:
-    """A response payload minus its wall-clock field (all that may differ)."""
-    stripped = dict(payload)
-    stripped.pop("elapsed_s", None)
-    return stripped
-
-
-def _coalesced_vs_solo_burst() -> dict:
-    """The 32-design fig8 burst through a coalescing and a solo server.
-
-    Both servers get the identical burst (best of two per server: one stray
-    descheduling stall in a single burst must not decide a throughput
-    ratio).  Returns both bursts' responses and wall-clock seconds plus both
-    servers' coalescing metrics.
-    """
-    designs = _coalesce_designs()
-    on_server, on_thread = _coalesce_server(window_ms=250.0)
-    off_server, off_thread = _coalesce_server(window_ms=0.0)
-    try:
-        on_url = "http://{}:{}".format(*on_server.server_address[:2])
-        off_url = "http://{}:{}".format(*off_server.server_address[:2])
-        # One warm-up request per server so first-touch costs (imports,
-        # solver tables) don't land inside either timed burst.
-        warm = _coalesce_designs(1)
-        _fig8_burst(on_url, warm), _fig8_burst(off_url, warm)
-
-        measured: dict = {"designs": designs}
-        for label, url in (("merged", on_url), ("solo", off_url)):
-            for _ in range(2):
-                started = time.perf_counter()
-                responses = _fig8_burst(url, designs)
-                elapsed = time.perf_counter() - started
-                if elapsed < measured.get(f"{label}_s", float("inf")):
-                    measured[f"{label}_s"] = elapsed
-                    measured[label] = responses
-        measured["on_stats"] = _get(on_url + "/v1/metrics")["jobs"]["coalesce"]
-        measured["off_stats"] = \
-            _get(off_url + "/v1/metrics")["jobs"]["coalesce"]
-        return measured
-    finally:
-        for server, thread in ((on_server, on_thread),
-                               (off_server, off_thread)):
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-
-
-class TestCoalescing:
-    def test_coalesced_burst_identical(self):
-        """The tentpole gate's identity half: the same bytes either way.
-
-        The coalescing server must merge the burst into design-axis group
-        calls (metrics prove it), and the responses must match the solo
-        server's and an in-process solo submit byte for byte.
-        """
-        measured = _coalesced_vs_solo_burst()
-        merged, solo = measured["merged"], measured["solo"]
-        expected = _without_timing(
-            MixerService(response_cache=False).submit(
-                SpecRequest(experiment="fig8", design=measured["designs"][0],
-                            grid=dict(COALESCE_GRID))).to_dict())
-        assert _without_timing(merged[0]) == expected
-        for with_coalesce, without in zip(merged, solo):
-            assert _without_timing(with_coalesce) == _without_timing(without)
-
-        stats = measured["on_stats"]
-        assert stats["enabled"] is True
-        assert stats["coalesced_batches"] >= 1
-        assert stats["coalesced_jobs"] >= COALESCE_CLIENTS
-        assert "batch_size_le" in stats
-        off_stats = measured["off_stats"]
-        assert off_stats["enabled"] is False
-        assert off_stats["coalesced_batches"] == 0
-
-    @pytest.mark.timing
-    def test_coalesced_burst_faster(self):
-        """The tentpole gate's throughput half: the merged burst >= 3x."""
-        measured = _coalesced_vs_solo_burst()
-        solo_s, merged_s = measured["solo_s"], measured["merged_s"]
-        record_comparison("serve", "coalesced/solo burst speedup",
-                          MIN_COALESCE_SPEEDUP, solo_s / merged_s)
-        assert solo_s >= merged_s * MIN_COALESCE_SPEEDUP
-
-    def test_identical_burst_executes_engine_once(self):
-        """Singleflight gate: 16 identical requests, one engine execution."""
-        calls: Counter = Counter()
-        server, thread = _coalesce_server(
-            window_ms=400.0, registry=_counting_fig8_registry(calls))
-        try:
-            base_url = "http://{}:{}".format(*server.server_address[:2])
-            designs = _coalesce_designs(1) * 16
-            responses = _fig8_burst(base_url, designs)
-            assert calls["runner"] + calls["batch"] == 1
-            payloads = [_without_timing(response) for response in responses]
-            for payload in payloads[1:]:
-                assert payload == payloads[0]
-            stats = _get(base_url + "/v1/metrics")["jobs"]["coalesce"]
-            assert stats["singleflight_hits"] == len(designs) - 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
 
 class TestLoadShedding:

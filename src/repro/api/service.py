@@ -42,18 +42,17 @@ from repro.api.response_cache import DEFAULT_LRU_SIZE, ResponseCache
 class RequestPlan:
     """One validated request's dispatch identity.
 
-    Everything a scheduler needs to decide what a request *is* without
-    executing it: the registry entry, the resolved grid (defaults merged
+    Everything :meth:`MixerService.plan_groups` needs to decide what a
+    request *is* without executing it: the registry entry, the resolved grid (defaults merged
     with overrides — exactly what the runner will be called with), the
-    response-cache ``key``, and the coalescing ``token`` two requests must
-    share to be mergeable into one engine group (``None`` when the
-    experiment has no ``batch_runner``, i.e. can never join a group).
+    response-cache ``key``, and the grouping ``token`` two requests must
+    share to run in one engine group.
     """
 
     spec: ExperimentSpec
     resolved: dict[str, Any]
     key: str
-    token: tuple | None
+    token: tuple
 
 
 @dataclass
@@ -182,7 +181,7 @@ class MixerService:
 
     def _group_token(self, request: SpecRequest,
                      resolved: dict[str, Any]) -> tuple:
-        """Coalescing identity: requests with equal tokens may merge.
+        """Grouping identity: requests with equal tokens may share a run.
 
         The execution options are part of the token so a member's explicit
         ``workers=``/``cache=`` is honoured, never silently dropped in
@@ -199,17 +198,14 @@ class MixerService:
 
         This is the read-only half of :meth:`submit`: registry lookup, grid
         validation, cache key and group token, with no engine work and no
-        cache reads — what a scheduler (the job layer's coalescer) calls to
-        decide whether two pending requests can share one engine run.
-        Raises :class:`RequestValidationError` exactly as :meth:`submit`
-        would.
+        cache reads.  Raises :class:`RequestValidationError` exactly as
+        :meth:`submit` would.
         """
         spec = self._spec_for(request.experiment)
         resolved = request.validate(spec)
         key = request.request_key(spec, resolved_grid=resolved)
-        token = self._group_token(request, resolved) \
-            if spec.batch_runner is not None else None
-        return RequestPlan(spec=spec, resolved=resolved, key=key, token=token)
+        return RequestPlan(spec=spec, resolved=resolved, key=key,
+                           token=self._group_token(request, resolved))
 
     def plan_groups(self, requests: Sequence[SpecRequest],
                     ) -> tuple[list[SpecResponse | None], list[PlannedGroup]]:
@@ -229,12 +225,10 @@ class MixerService:
             if cached is not None:
                 responses[index] = cached
                 continue
-            token = plan.token if plan.token is not None \
-                else self._group_token(request, plan.resolved)
-            group = groups.get(token)
+            group = groups.get(plan.token)
             if group is None:
-                group = groups[token] = PlannedGroup(spec=plan.spec,
-                                                     resolved=plan.resolved)
+                group = groups[plan.token] = PlannedGroup(
+                    spec=plan.spec, resolved=plan.resolved)
             group.members.append((index, request, plan.key))
         return responses, list(groups.values())
 

@@ -168,7 +168,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     jobs = payload.get("jobs", {})
-    coalesce = jobs.get("coalesce", {})
     requests = payload.get("requests", {})
     total = sum(stats.get("count", 0) for stats in requests.values())
     errors = sum(stats.get("errors", 0) for stats in requests.values())
@@ -179,12 +178,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         f"jobs submitted     {jobs.get('submitted', 0)}",
         f"jobs completed     {jobs.get('completed', 0)}",
         f"jobs failed        {jobs.get('failed', 0)}",
-        f"coalesce enabled   {coalesce.get('enabled', False)} "
-        f"(window {coalesce.get('window_ms', 0):g} ms, "
-        f"cap {coalesce.get('max_coalesce', 0)})",
-        f"coalesced batches  {coalesce.get('coalesced_batches', 0)} "
-        f"({coalesce.get('coalesced_jobs', 0)} jobs merged)",
-        f"singleflight hits  {coalesce.get('singleflight_hits', 0)}",
     ]
     cache = payload.get("response_cache")
     if cache is not None:
@@ -266,8 +259,8 @@ def main(argv: list[str] | None = None) -> int:
                                 help="base URL of a repro.serve instance")
     metrics_parser.add_argument("--summary", action="store_true",
                                 help="compact counters (requests, jobs, "
-                                     "coalescing, singleflight) instead of "
-                                     "the full JSON snapshot")
+                                     "response cache) instead of the full "
+                                     "JSON snapshot")
     metrics_parser.set_defaults(handler=_cmd_metrics)
 
     args = parser.parse_args(argv)

@@ -42,9 +42,7 @@ from typing import Any
 from repro.api.request import API_VERSION, ApiVersionError, RequestValidationError
 from repro.api.service import MixerService
 from repro.serve.jobs import (
-    DEFAULT_COALESCE_WINDOW_MS,
     DEFAULT_JOB_WORKERS,
-    DEFAULT_MAX_COALESCE,
     DEFAULT_QUEUE_LIMIT,
     ERROR_VALIDATION,
     JobManager,
@@ -85,17 +83,13 @@ class SpecHTTPServer(ThreadingHTTPServer):
                  service: MixerService, verbose: bool = False,
                  job_workers: int = DEFAULT_JOB_WORKERS,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 reuse_process_pools: bool = False,
-                 coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
-                 max_coalesce: int = DEFAULT_MAX_COALESCE) -> None:
+                 reuse_process_pools: bool = False) -> None:
         super().__init__(address, handler_class)
         self.service = service
         self.verbose = verbose
         self.metrics = ServerMetrics()
         self.jobs = JobManager(service, workers=job_workers,
-                               queue_limit=queue_limit,
-                               coalesce_window_ms=coalesce_window_ms,
-                               max_coalesce=max_coalesce)
+                               queue_limit=queue_limit)
         self._reuse_pools = bool(reuse_process_pools)
         if self._reuse_pools:
             # Engine runs draw from persistent process pools instead of
@@ -344,27 +338,21 @@ def create_server(host: str = "127.0.0.1", port: int = 0,
                   verbose: bool = False,
                   job_workers: int = DEFAULT_JOB_WORKERS,
                   queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                  reuse_process_pools: bool = False,
-                  coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
-                  max_coalesce: int = DEFAULT_MAX_COALESCE) -> SpecHTTPServer:
+                  reuse_process_pools: bool = False) -> SpecHTTPServer:
     """A ready-to-serve HTTP server bound to ``host:port`` (0 = ephemeral).
 
     The returned server's ``server_address`` carries the actually bound
     port; call ``serve_forever()`` (or wrap in a thread for tests).
     ``job_workers`` bounds concurrent engine runs, ``queue_limit`` bounds
     waiting jobs (beyond it submits shed with 429),
-    ``reuse_process_pools`` keeps the sweep engine's process pools alive
-    across requests (``python -m repro.serve`` turns it on), and
-    ``coalesce_window_ms`` > 0 enables continuous micro-batching of
-    concurrent spec jobs (``max_coalesce`` caps one merged group).
+    and ``reuse_process_pools`` keeps the sweep engine's process pools
+    alive across requests (``python -m repro.serve`` turns it on).
     """
     shared = service if service is not None else MixerService()
     return SpecHTTPServer((host, port), SpecRequestHandler, shared,
                           verbose=verbose, job_workers=job_workers,
                           queue_limit=queue_limit,
-                          reuse_process_pools=reuse_process_pools,
-                          coalesce_window_ms=coalesce_window_ms,
-                          max_coalesce=max_coalesce)
+                          reuse_process_pools=reuse_process_pools)
 
 
 def serve_in_thread(server: ThreadingHTTPServer) -> threading.Thread:
@@ -394,17 +382,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=DEFAULT_QUEUE_LIMIT,
                         help="max queued jobs before submits shed with 429 "
                              f"(default {DEFAULT_QUEUE_LIMIT})")
-    parser.add_argument("--coalesce-window-ms", type=float,
-                        default=DEFAULT_COALESCE_WINDOW_MS,
-                        help="micro-batching window: hold a dequeued spec "
-                             "job this long, merging compatible pending "
-                             "jobs into one design-axis engine call; 0 "
-                             "disables coalescing and singleflight "
-                             f"(default {DEFAULT_COALESCE_WINDOW_MS:g})")
-    parser.add_argument("--max-coalesce", type=int,
-                        default=DEFAULT_MAX_COALESCE,
-                        help="max distinct requests merged into one "
-                             f"coalesced group (default {DEFAULT_MAX_COALESCE})")
     parser.add_argument("--spec-cache", default=None, metavar="DIR",
                         help="on-disk spec cache directory for the engine")
     parser.add_argument("--response-cache", default=None, metavar="DIR",
@@ -422,9 +399,7 @@ def main(argv: list[str] | None = None) -> int:
                            verbose=args.verbose,
                            job_workers=args.job_workers,
                            queue_limit=args.queue_limit,
-                           reuse_process_pools=True,
-                           coalesce_window_ms=args.coalesce_window_ms,
-                           max_coalesce=args.max_coalesce)
+                           reuse_process_pools=True)
     host, port = server.server_address[:2]
     # The smoke harness parses this line to find an ephemeral port.
     print(f"serving on http://{host}:{port}", flush=True)

@@ -18,23 +18,6 @@ The synchronous endpoints are thin wrappers over the same path
 sync or async — flows through one bounded pool and one accounting surface,
 and a ``/v1/spec`` response stays bit-identical to the in-process
 :meth:`MixerService.submit` call it always was.
-
-**Continuous micro-batching.**  With ``coalesce_window_ms > 0`` the worker
-that dequeues a ``spec`` job holds it for at most the window, draining
-every other pending job that is *compatible* — same experiment, same
-resolved grid, same execution options, experiment registers a
-``batch_runner`` (:meth:`MixerService.plan_request` decides) — and
-executes the whole set as **one** design-axis group call through
-:meth:`MixerService.execute_group`, fanning the per-design responses back
-to each job.  Underneath sits a **singleflight** tier: jobs sharing one
-``request_key`` (identical design + grid) collapse onto a single leader
-execution whose response answers every waiter, whether the duplicate was
-drained from the queue or arrived while the leader was already running —
-the cache-stampede recompute disappears even with the response cache off.
-Every per-job response stays bit-identical to a solo
-:meth:`MixerService.submit` (the group fan-out is the pinned batch path),
-and ``coalesce_window_ms=0`` (the default) keeps the scheduler exactly on
-the historical one-job-per-dequeue path.
 """
 
 from __future__ import annotations
@@ -49,12 +32,8 @@ from typing import Any, Mapping, Sequence
 
 from repro.api.progress import progress_scope
 from repro.api.request import RequestValidationError, SpecRequest
-from repro.api.service import MixerService, RequestPlan
-from repro.serve.metrics import (
-    BATCH_SIZE_BUCKETS,
-    BucketHistogram,
-    LATENCY_BUCKETS_S,
-)
+from repro.api.service import MixerService
+from repro.serve.metrics import BucketHistogram, LATENCY_BUCKETS_S
 
 #: Job lifecycle states, in order.
 JOB_QUEUED = "queued"
@@ -66,10 +45,6 @@ JOB_FAILED = "failed"
 DEFAULT_JOB_WORKERS = 2
 DEFAULT_QUEUE_LIMIT = 32
 DEFAULT_HISTORY_LIMIT = 256
-#: Micro-batching defaults: a zero window disables coalescing (and the
-#: singleflight tier riding on it) entirely — today's behaviour.
-DEFAULT_COALESCE_WINDOW_MS = 0.0
-DEFAULT_MAX_COALESCE = 16
 
 #: Failure classes: a validation failure is the client's fault (HTTP 400),
 #: anything else is the server's (HTTP 500).
@@ -112,12 +87,6 @@ class Job:
     error: str | None = None
     error_kind: str | None = None
     done_event: threading.Event = field(default_factory=threading.Event)
-    #: Singleflight waiters parked on this job (answered when it finishes);
-    #: scheduler-internal, mutated only under the manager lock.
-    followers: list["Job"] = field(default_factory=list, repr=False)
-    #: Memoised :class:`RequestPlan` (or ``False`` after a failed attempt),
-    #: so the coalescer's rescans never re-validate the same request.
-    plan_cache: Any = field(default=None, repr=False)
 
     @property
     def experiments(self) -> list[str]:
@@ -178,37 +147,21 @@ class JobManager:
     history_limit:
         Finished jobs retained for status polling before the oldest are
         evicted; running and queued jobs are never evicted.
-    coalesce_window_ms:
-        Micro-batching window: how long a worker holds a dequeued ``spec``
-        job while draining compatible pending jobs into one engine group.
-        ``0`` (the default) disables coalescing *and* singleflight — the
-        scheduler behaves exactly as before this knob existed.
-    max_coalesce:
-        Cap on distinct requests merged into one group call (singleflight
-        waiters ride for free and do not count against the cap).
     """
 
     def __init__(self, service: MixerService,
                  workers: int = DEFAULT_JOB_WORKERS,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 history_limit: int = DEFAULT_HISTORY_LIMIT,
-                 coalesce_window_ms: float = DEFAULT_COALESCE_WINDOW_MS,
-                 max_coalesce: int = DEFAULT_MAX_COALESCE) -> None:
+                 history_limit: int = DEFAULT_HISTORY_LIMIT) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         if history_limit < 1:
             raise ValueError("history_limit must be at least 1")
-        if coalesce_window_ms < 0:
-            raise ValueError("coalesce_window_ms must be >= 0")
-        if max_coalesce < 2:
-            raise ValueError("max_coalesce must be at least 2")
         self.service = service
         self.queue_limit = int(queue_limit)
         self.history_limit = int(history_limit)
-        self.coalesce_window_ms = float(coalesce_window_ms)
-        self.max_coalesce = int(max_coalesce)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}      # insertion-ordered (py>=3.7)
@@ -219,13 +172,6 @@ class JobManager:
         self._completed = 0
         self._failed = 0
         self._shed = 0
-        #: request_key -> the job currently computing that exact request;
-        #: late identical arrivals park on it instead of re-executing.
-        self._inflight: dict[str, Job] = {}
-        self._singleflight_hits = 0
-        self._coalesced_batches = 0
-        self._coalesced_jobs = 0
-        self._batch_sizes = BucketHistogram(BATCH_SIZE_BUCKETS)
         self._queue_wait = BucketHistogram(LATENCY_BUCKETS_S)
         self._closed = False
         self._threads = [
@@ -272,24 +218,10 @@ class JobManager:
             self._pending.append(job)
             self._submitted += 1
             self._evict_finished_locked()
-            if self.coalesce_window_ms > 0:
-                # A drain-waiting worker and an idle worker both listen on
-                # the condition; wake everyone so the coalescer always gets
-                # a chance to rescan before its window closes.
-                self._wake.notify_all()
-            else:
-                self._wake.notify()
+            self._wake.notify()
         return job
 
     # -- execution ------------------------------------------------------------
-
-    def _start_locked(self, job: Job) -> None:
-        """Queued -> running bookkeeping (caller holds the lock)."""
-        job.state = JOB_RUNNING
-        job.started_monotonic = time.monotonic()
-        self._queue_wait.observe(job.started_monotonic
-                                 - job.submitted_monotonic)
-        self._running += 1
 
     def _worker_loop(self) -> None:
         while True:
@@ -299,182 +231,17 @@ class JobManager:
                 if self._closed and not self._pending:
                     return
                 job = self._pending.pop(0)
-                self._start_locked(job)
-            if self.coalesce_window_ms <= 0 or job.kind != "spec":
-                self._run_solo(job)
-                continue
-            plan = self._plan(job)
-            if plan is None:
-                # Unknown experiment / bad grid: the solo path produces the
-                # proper per-job validation failure.
-                self._run_solo(job)
-                continue
-            with self._wake:
-                leader = self._inflight.get(plan.key)
-                if leader is not None:
-                    # Singleflight: an identical request is already
-                    # computing — park on it; the leader answers this job.
-                    leader.followers.append(job)
-                    self._singleflight_hits += 1
-                    continue
-                members = self._drain_locked(job, plan)
-            self._run_coalesced(members)
-
-    def _run_solo(self, job: Job) -> None:
-        """The historical one-job execution path (coalescing off/N.A.)."""
-        try:
-            self._execute(job)
-        finally:
-            with self._lock:
-                self._running -= 1
-            job.done_event.set()
-
-    def _plan(self, job: Job) -> RequestPlan | None:
-        """The job's dispatch identity, memoised; ``None`` when invalid."""
-        if job.plan_cache is None:
+                job.state = JOB_RUNNING
+                job.started_monotonic = time.monotonic()
+                self._queue_wait.observe(job.started_monotonic
+                                         - job.submitted_monotonic)
+                self._running += 1
             try:
-                job.plan_cache = self.service.plan_request(job.requests[0])
-            except RequestValidationError:
-                job.plan_cache = False
-        return job.plan_cache or None
-
-    def _drain_locked(self, lead: Job,
-                      lead_plan: RequestPlan) -> list[tuple[str, Job]]:
-        """Collect compatible pending jobs under the coalesce window.
-
-        Returns the distinct-request members as ``(request_key, job)``
-        pairs, lead first.  Pending duplicates of a member (same request
-        key) are parked as that member's followers instead of joining —
-        that is the queue-side half of singleflight.  The scan repeats on
-        every queue notify until the member cap fills or the window
-        closes; the caller holds the condition lock throughout (waits
-        release it).
-
-        Every member registers in ``_inflight`` the moment it joins — the
-        window waits release the lock, and a peer worker dequeuing an
-        identical request during that gap must find the leader and park on
-        it rather than start a duplicate execution.
-        """
-        members: list[tuple[str, Job]] = [(lead_plan.key, lead)]
-        by_key: dict[str, Job] = {lead_plan.key: lead}
-        self._inflight[lead_plan.key] = lead
-        deadline = time.monotonic() + self.coalesce_window_ms / 1000.0
-        while not self._closed:
-            for candidate in list(self._pending):
-                if len(members) >= self.max_coalesce:
-                    break
-                if candidate.kind != "spec":
-                    continue
-                plan = self._plan(candidate)
-                if plan is None:
-                    continue
-                owner = by_key.get(plan.key)
-                if owner is not None:
-                    self._pending.remove(candidate)
-                    self._start_locked(candidate)
-                    owner.followers.append(candidate)
-                    self._singleflight_hits += 1
-                    continue
-                if lead_plan.token is None or plan.token != lead_plan.token:
-                    continue
-                self._pending.remove(candidate)
-                self._start_locked(candidate)
-                members.append((plan.key, candidate))
-                by_key[plan.key] = candidate
-                self._inflight[plan.key] = candidate
-            remaining = deadline - time.monotonic()
-            if len(members) >= self.max_coalesce or remaining <= 0:
-                break
-            self._wake.wait(timeout=remaining)
-        return members
-
-    def _classify(self, error: Exception) -> tuple[str, str]:
-        """(message, kind) exactly as the solo path records failures."""
-        if isinstance(error, RequestValidationError):
-            return str(error), ERROR_VALIDATION
-        return f"{type(error).__name__}: {error}", ERROR_INTERNAL
-
-    def _finish_done_locked(self, job: Job, result: bytes, now: float) -> None:
-        job.result = result
-        job.state = JOB_DONE
-        job.finished_monotonic = now
-        self._completed += 1
-        self._running -= 1
-        job.done_event.set()
-
-    def _finish_failed_locked(self, job: Job, message: str, kind: str,
-                              now: float) -> None:
-        job.error = message
-        job.error_kind = kind
-        job.state = JOB_FAILED
-        job.finished_monotonic = now
-        self._failed += 1
-        self._running -= 1
-        job.done_event.set()
-
-    def _run_coalesced(self, members: list[tuple[str, Job]]) -> None:
-        """Answer a drained member set with one service group execution.
-
-        Progress frames broadcast into every member's and follower's own
-        progress dict (each job keeps a private channel, observable at its
-        own ``GET /v1/jobs/<id>``).  On success each member's response is
-        bit-identical to a solo submit (the pinned batch path); followers
-        share their leader's encoded bytes.  On failure every job in the
-        set fails with the same classified error.
-        """
-        jobs = [job for _, job in members]
-
-        def _broadcast(fields: dict) -> None:
-            with self._lock:
-                for member in jobs:
-                    member.progress.update(fields)
-                    for follower in member.followers:
-                        follower.progress.update(fields)
-
-        try:
-            with progress_scope(_broadcast):
-                if len(jobs) == 1:
-                    responses = [self.service.submit(jobs[0].requests[0])]
-                else:
-                    requests = [job.requests[0] for job in jobs]
-                    responses, groups = self.service.plan_groups(requests)
-                    for group in groups:
-                        for index, response in \
-                                self.service.execute_group(group):
-                            responses[index] = response
-            results = [encode_json(response.to_dict())
-                       for response in responses]
-        except Exception as error:  # noqa: BLE001 - jobs record any failure
-            message, kind = self._classify(error)
-            now = time.monotonic()
-            with self._wake:
-                self._note_batch_locked(members)
-                for key, job in members:
-                    self._inflight.pop(key, None)
-                    followers, job.followers = job.followers, []
-                    self._finish_failed_locked(job, message, kind, now)
-                    for follower in followers:
-                        self._finish_failed_locked(follower, message, kind,
-                                                   now)
-            return
-        now = time.monotonic()
-        with self._wake:
-            self._note_batch_locked(members)
-            for (key, job), result in zip(members, results):
-                self._inflight.pop(key, None)
-                followers, job.followers = job.followers, []
-                self._finish_done_locked(job, result, now)
-                for follower in followers:
-                    # Immutable bytes: every waiter shares its leader's.
-                    self._finish_done_locked(follower, result, now)
-
-    def _note_batch_locked(self, members: list[tuple[str, Job]]) -> None:
-        answered = len(members) + sum(len(job.followers)
-                                      for _, job in members)
-        self._batch_sizes.observe(answered)
-        if answered > 1:
-            self._coalesced_batches += 1
-            self._coalesced_jobs += answered
+                self._execute(job)
+            finally:
+                with self._lock:
+                    self._running -= 1
+                job.done_event.set()
 
     def _execute(self, job: Job) -> None:
         def _merge(fields: dict) -> None:
@@ -496,10 +263,12 @@ class JobManager:
                 job.finished_monotonic = time.monotonic()
                 self._completed += 1
         except Exception as error:  # noqa: BLE001 - job must record any failure
-            message, kind = self._classify(error)
+            validation = isinstance(error, RequestValidationError)
             with self._lock:
-                job.error = message
-                job.error_kind = kind
+                job.error = (str(error) if validation
+                             else f"{type(error).__name__}: {error}")
+                job.error_kind = (ERROR_VALIDATION if validation
+                                  else ERROR_INTERNAL)
                 job.state = JOB_FAILED
                 job.finished_monotonic = time.monotonic()
                 self._failed += 1
@@ -559,16 +328,6 @@ class JobManager:
                 "shed": self._shed,
                 "retained": len(self._jobs),
                 "queue_wait_le_s": self._queue_wait.le_dict(),
-                "coalesce": {
-                    "enabled": self.coalesce_window_ms > 0,
-                    "window_ms": self.coalesce_window_ms,
-                    "max_coalesce": self.max_coalesce,
-                    "batches": self._batch_sizes.count,
-                    "coalesced_batches": self._coalesced_batches,
-                    "coalesced_jobs": self._coalesced_jobs,
-                    "batch_size_le": self._batch_sizes.le_dict(),
-                    "singleflight_hits": self._singleflight_hits,
-                },
             }
 
     # -- lifecycle ------------------------------------------------------------

@@ -24,9 +24,6 @@ import time
 #: searches.  The implicit +Inf bucket catches anything slower.
 LATENCY_BUCKETS_S = (0.001, 0.005, 0.025, 0.1, 0.5, 2.0, 10.0, 60.0, 300.0)
 
-#: Bucket bounds for coalesced-batch sizes (jobs answered per engine run).
-BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-
 
 class BucketHistogram:
     """Cumulative bucket counts in the Prometheus ``le`` convention.

@@ -83,8 +83,8 @@ GATES: dict[str, threading.Event] = {}
 
 #: Engine-invocation counters: ``CALLS["run"]`` counts per-design runner
 #: executions (the batch runner routes through the same path), and
-#: ``CALLS["batch"]`` counts batch-runner calls.  Singleflight/coalescing
-#: tests reset this (``CALLS.clear()``) and assert exact execution counts.
+#: ``CALLS["batch"]`` counts batch-runner calls.  Tests reset this
+#: (``CALLS.clear()``) and assert exact execution counts.
 CALLS: collections.Counter = collections.Counter()
 
 
@@ -95,13 +95,10 @@ def open_gate(name: str) -> threading.Event:
 
 
 def _run_echo(design: MixerDesign, *, value: float = 1.0, fail: bool = False,
-              gate: str = "", drop_nth: int = -1, workers: int | None = None,
-              cache: object = None) -> EchoResult:
+              gate: str = "", drop_nth: int = -1) -> EchoResult:
     # drop_nth only means something to the batch runner; the solo runner
     # accepts it so single-member echo_batch groups still dispatch.
-    # workers/cache are accepted (and ignored) so the ``echo_opts`` entry
-    # can declare accepts_workers/accepts_cache for option-identity tests.
-    del drop_nth, workers, cache
+    del drop_nth
     CALLS["run"] += 1
     if gate:
         report_progress(stage="echo", gate=gate, checkpoint=1)
@@ -112,10 +109,8 @@ def _run_echo(design: MixerDesign, *, value: float = 1.0, fail: bool = False,
 
 
 def _batch_echo(designs, *, value: float = 1.0, fail: bool = False,
-                gate: str = "", drop_nth: int = -1,
-                workers: int | None = None, cache: object = None):
+                gate: str = "", drop_nth: int = -1):
     """Batch runner that can drop (or ``None`` out) one member's result."""
-    del workers, cache
     CALLS["batch"] += 1
     results = {}
     for index, (fingerprint, design) in enumerate(designs.items()):
@@ -151,12 +146,5 @@ def echo_registry() -> ExperimentRegistry:
         result_type=EchoResult, report=_report_echo,
         default_grid={**grid, "drop_nth": -1},
         accepts_workers=False, accepts_cache=False,
-        batch_runner=_batch_echo))
-    registry.register(ExperimentSpec(
-        name="echo_opts", artefact="test fixture",
-        summary="batchable runner accepting workers/cache options",
-        runner=_run_echo, result_type=EchoResult, report=_report_echo,
-        default_grid={**grid, "drop_nth": -1},
-        accepts_workers=True, accepts_cache=True,
         batch_runner=_batch_echo))
     return registry

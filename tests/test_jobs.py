@@ -27,8 +27,6 @@ from repro.serve.jobs import (
     JobQueueFullError,
 )
 
-from repro.core.config import MixerDesign
-
 from api_test_helpers import CALLS, echo_registry, open_gate
 
 #: Generous bound for job completion in tests; real runs take milliseconds.
@@ -221,18 +219,6 @@ class TestBackpressure:
         manager.shutdown()
 
 
-def batch_echo_request(value: float = 1.0, design: MixerDesign | None = None,
-                       **grid) -> SpecRequest:
-    return SpecRequest(experiment="echo_batch",
-                       design=design if design is not None else MixerDesign(),
-                       grid={"value": value, **grid})
-
-
-def _distinct_designs(count: int) -> list[MixerDesign]:
-    return [MixerDesign().with_gain_setting(1.0 + 0.002 * i)
-            for i in range(count)]
-
-
 def _wait_running(job, deadline_s: float = WAIT_S) -> None:
     deadline = time.monotonic() + deadline_s
     while job.state != "running" and time.monotonic() < deadline:
@@ -240,267 +226,34 @@ def _wait_running(job, deadline_s: float = WAIT_S) -> None:
     assert job.state == "running"
 
 
-class TestCoalescing:
-    """The micro-batching drain: what merges, what never does.
-
-    Every test parks the single worker on a gated job first, queues the
-    jobs under test while the worker is busy, then releases the gate — so
-    the drain always sees the full candidate set and the outcome is
-    deterministic, not a race against the coalesce window.
-    """
-
-    def _manager(self, **kwargs) -> JobManager:
-        kwargs.setdefault("workers", 1)
-        kwargs.setdefault("queue_limit", 16)
-        return JobManager(
-            MixerService(registry=echo_registry(), response_cache=False),
-            **kwargs)
-
-    def test_compatible_jobs_merge_into_one_batch_call(self):
-        manager = self._manager(coalesce_window_ms=200.0, max_coalesce=3)
-        gate = open_gate("coalesce-merge")
-        CALLS.clear()
+class TestScheduling:
+    def test_each_submit_wakes_an_idle_worker(self):
+        manager = JobManager(MixerService(registry=echo_registry()),
+                             workers=2, queue_limit=4)
+        gate = open_gate("wake-idle")
+        jobs = []
         try:
-            blocker = manager.submit(echo(9.0, gate="coalesce-merge"))
-            _wait_running(blocker)
-            jobs = [manager.submit(batch_echo_request(design=design))
-                    for design in _distinct_designs(3)]
-            gate.set()
-            for job in [blocker, *jobs]:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-            # One engine call answered all three jobs: the blocker ran the
-            # solo runner once, the merged group ran the batch runner once
-            # (which evaluates its three designs through the same runner).
-            assert CALLS["batch"] == 1
-            assert CALLS["run"] == 4
-            labels = [_decoded(job)["result"]["fields"]["label"]
-                      for job in jobs]
-            assert len(set(labels)) == 3  # each job got its own design back
-            coalesce = manager.stats()["coalesce"]
-            assert coalesce["enabled"] is True
-            assert coalesce["coalesced_batches"] == 1
-            assert coalesce["coalesced_jobs"] == 3
-            assert coalesce["singleflight_hits"] == 0
+            # Each job blocks on the closed gate, so the second can only
+            # be running if its submit woke the other, idle worker while
+            # the first worker was busy.
+            for value in (1.0, 2.0):
+                jobs.append(manager.submit(echo(value, gate="wake-idle")))
+                _wait_running(jobs[-1])
+            assert manager.stats()["running"] == 2
         finally:
             gate.set()
-            manager.shutdown()
-
-    def test_merged_responses_match_solo_submits(self):
-        designs = _distinct_designs(3)
-        solo = MixerService(registry=echo_registry(), response_cache=False)
-        expected = [solo.submit(batch_echo_request(design=design)).to_dict()
-                    for design in designs]
-        manager = self._manager(coalesce_window_ms=200.0, max_coalesce=3)
-        gate = open_gate("coalesce-identity")
-        try:
-            blocker = manager.submit(echo(9.0, gate="coalesce-identity"))
-            _wait_running(blocker)
-            jobs = [manager.submit(batch_echo_request(design=design))
-                    for design in designs]
-            gate.set()
-            for job, want in zip(jobs, expected):
-                manager.wait(job, timeout=WAIT_S)
-                got = _decoded(job)
-                # Wall-clock timing is the only field allowed to differ.
-                got.pop("elapsed_s"), want.pop("elapsed_s")
-                assert got == want
-        finally:
-            gate.set()
-            manager.shutdown()
-
-    def test_incompatible_grids_never_merge(self):
-        manager = self._manager(coalesce_window_ms=50.0)
-        gate = open_gate("coalesce-grids")
-        CALLS.clear()
-        try:
-            blocker = manager.submit(echo(9.0, gate="coalesce-grids"))
-            _wait_running(blocker)
-            designs = _distinct_designs(2)
-            jobs = [manager.submit(batch_echo_request(1.0, designs[0])),
-                    manager.submit(batch_echo_request(2.0, designs[1]))]
-            gate.set()
-            for job in jobs:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-            assert CALLS["batch"] == 0  # two solo runs, no group formed
-            assert manager.stats()["coalesce"]["coalesced_batches"] == 0
-        finally:
-            gate.set()
-            manager.shutdown()
-
-    def test_incompatible_options_never_merge(self):
-        manager = self._manager(coalesce_window_ms=50.0)
-        gate = open_gate("coalesce-options")
-        CALLS.clear()
-        try:
-            blocker = manager.submit(echo(9.0, gate="coalesce-options"))
-            _wait_running(blocker)
-            designs = _distinct_designs(2)
-            # Same experiment, same grid — but one pins workers=2, so the
-            # execution-option identity differs and the jobs must not merge.
-            jobs = [manager.submit(SpecRequest(experiment="echo_opts",
-                                               design=designs[0],
-                                               grid={"value": 1.0})),
-                    manager.submit(SpecRequest(experiment="echo_opts",
-                                               design=designs[1],
-                                               grid={"value": 1.0},
-                                               workers=2))]
-            gate.set()
-            for job in jobs:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-            assert CALLS["batch"] == 0
-            assert manager.stats()["coalesce"]["coalesced_batches"] == 0
-        finally:
-            gate.set()
-            manager.shutdown()
-
-    def test_window_zero_disables_coalescing_and_singleflight(self):
-        manager = self._manager()  # default window: 0
-        gate = open_gate("coalesce-off")
-        CALLS.clear()
-        try:
-            blocker = manager.submit(echo(9.0, gate="coalesce-off"))
-            _wait_running(blocker)
-            jobs = [manager.submit(echo(5.0)) for _ in range(2)]
-            gate.set()
-            for job in jobs:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-            # Identical jobs, but with the window at 0 each pays its own
-            # engine run — exactly the pre-coalescing behaviour.
-            assert CALLS["run"] == 3
-            coalesce = manager.stats()["coalesce"]
-            assert coalesce["enabled"] is False
-            assert coalesce["singleflight_hits"] == 0
-            assert coalesce["coalesced_batches"] == 0
-        finally:
-            gate.set()
-            manager.shutdown()
-
-    def test_progress_channels_stay_per_job(self):
-        manager = self._manager(coalesce_window_ms=200.0, max_coalesce=2)
-        lead_gate = open_gate("coalesce-lead")
-        run_gate = open_gate("coalesce-progress")
-        try:
-            blocker = manager.submit(echo(9.0, gate="coalesce-lead"))
-            _wait_running(blocker)
-            designs = _distinct_designs(2)
-            jobs = [manager.submit(batch_echo_request(
-                        design=design, gate="coalesce-progress"))
-                    for design in designs]
-            lead_gate.set()
-            deadline = time.monotonic() + WAIT_S
-            while not all(job.progress for job in jobs) \
-                    and time.monotonic() < deadline:
-                time.sleep(0.002)
-            # The merged run broadcast its frames into each job's own
-            # private progress dict, observable per job id.
-            for job in jobs:
-                assert job.progress["stage"] == "echo"
-            assert jobs[0].progress is not jobs[1].progress
-            run_gate.set()
-            labels = set()
-            for job in jobs:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-                labels.add(_decoded(job)["result"]["fields"]["label"])
-            assert len(labels) == 2
-        finally:
-            lead_gate.set()
-            run_gate.set()
-            manager.shutdown()
-
-
-class TestSingleflight:
-    def _manager(self, response_cache=False, **kwargs) -> JobManager:
-        kwargs.setdefault("workers", 1)
-        kwargs.setdefault("queue_limit", 16)
-        kwargs.setdefault("coalesce_window_ms", 50.0)
-        return JobManager(
-            MixerService(registry=echo_registry(),
-                         response_cache=response_cache),
-            **kwargs)
-
-    def test_identical_burst_executes_engine_once(self):
-        manager = self._manager()
-        gate = open_gate("sf-burst")
-        CALLS.clear()
-        try:
-            blocker = manager.submit(echo(9.0, gate="sf-burst"))
-            _wait_running(blocker)
-            jobs = [manager.submit(echo(5.0)) for _ in range(4)]
-            gate.set()
-            for job in jobs:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-            # Response cache is OFF: only singleflight can explain a single
-            # engine run answering four identical jobs.
-            assert CALLS["run"] == 2  # the blocker + one for the burst
-            assert manager.stats()["coalesce"]["singleflight_hits"] == 3
-            results = [job.result for job in jobs]
-            for left, right in zip(results, results[1:]):
-                # Same payload; shared safely, since the bytes are immutable.
-                assert left == right
-                assert isinstance(left, bytes)
-        finally:
-            gate.set()
-            manager.shutdown()
-
-    def test_late_identical_arrival_parks_on_inflight_leader(self):
-        manager = self._manager(workers=2)
-        gate = open_gate("sf-inflight")
-        CALLS.clear()
-        try:
-            leader = manager.submit(echo(5.0, gate="sf-inflight"))
-            # Wait for the runner's progress frame, not just state=running:
-            # the frame proves the drain window closed and the leader is
-            # executing (and therefore registered as in-flight).
-            deadline = time.monotonic() + WAIT_S
-            while not leader.progress and time.monotonic() < deadline:
-                time.sleep(0.002)
-            assert leader.progress
-            follower = manager.submit(echo(5.0, gate="sf-inflight"))
-            deadline = time.monotonic() + WAIT_S
-            while manager.stats()["coalesce"]["singleflight_hits"] < 1 \
-                    and time.monotonic() < deadline:
-                time.sleep(0.002)
-            # The second worker dequeued the duplicate and parked it on the
-            # running leader instead of starting a second engine run.
-            assert manager.stats()["coalesce"]["singleflight_hits"] == 1
-            gate.set()
-            for job in (leader, follower):
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_DONE
-            assert CALLS["run"] == 1
-            assert follower.result == leader.result
-        finally:
-            gate.set()
-            manager.shutdown()
-
-    def test_failure_propagates_to_every_waiter(self):
-        manager = self._manager()
-        gate = open_gate("sf-fail")
-        try:
-            blocker = manager.submit(echo(9.0, gate="sf-fail"))
-            _wait_running(blocker)
-            jobs = [manager.submit(echo(5.0, fail=True)) for _ in range(3)]
-            gate.set()
-            for job in jobs:
-                manager.wait(job, timeout=WAIT_S)
-                assert job.state == JOB_FAILED
-                assert job.error_kind == "internal"
-                assert "injected runner failure" in job.error
-        finally:
-            gate.set()
-            manager.shutdown()
+        for job in jobs:
+            manager.wait(job, timeout=WAIT_S)
+            assert job.state == JOB_DONE
+        manager.shutdown()
 
     def test_cache_stores_one_entry_for_identical_burst(self):
-        manager = self._manager(response_cache=None)  # memory LRU on
-        gate = open_gate("sf-cache")
+        manager = JobManager(MixerService(registry=echo_registry()),
+                             workers=1, queue_limit=16)  # memory LRU on
+        gate = open_gate("burst-cache")
+        CALLS.clear()
         try:
-            blocker = manager.submit(echo(9.0, gate="sf-cache"))
+            blocker = manager.submit(echo(9.0, gate="burst-cache"))
             _wait_running(blocker)
             jobs = [manager.submit(echo(5.0)) for _ in range(4)]
             gate.set()
@@ -508,9 +261,13 @@ class TestSingleflight:
                 manager.wait(job, timeout=WAIT_S)
                 assert job.state == JOB_DONE
             # Exactly two stores: the blocker's own entry plus ONE entry
-            # for the whole identical burst — the leader stored, the three
-            # followers never touched the cache.
-            assert manager.service.response_cache.stats()["stores"] == 2
+            # for the whole identical burst.  The single worker runs the
+            # burst in order, so the first duplicate computes and the
+            # other three are answered from memory.
+            stats = manager.service.response_cache.stats()
+            assert stats["stores"] == 2
+            assert stats["memory_hits"] == 3
+            assert CALLS["run"] == 2
         finally:
             gate.set()
             manager.shutdown()

@@ -34,11 +34,6 @@ request shapes:
 * ``POST /v1/jobs`` submit -> ``GET /v1/jobs/<id>`` poll -> result with a
   second ``yield_opt`` search — the async surface must report progress
   while running and finish with the same bit-identical payload;
-* a concurrent burst of single-design ``fig8`` requests (plus identical
-  duplicates) through the coalescing scheduler — the server boots with
-  ``--coalesce-window-ms`` on, the merged responses must match solo
-  in-process submits, and ``GET /v1/metrics`` must report the coalescing
-  counters (coalesced batches, batch-size histogram, singleflight hits);
 * ``POST /v1/batch`` with ``workers: 2`` over a four-design ``table1`` +
   ``fig10`` population, cold and then warm, vs solo in-process submits —
   each shard solves its designs as one Gm-stage block, and the server's
@@ -47,10 +42,6 @@ request shapes:
   writing a single new cell;
 * ``GET /v1/metrics`` — the latency/counter snapshot must account for the
   traffic this script just generated.
-
-The whole run executes with continuous micro-batching enabled, so every
-bit-identity check above also vouches that the coalescing scheduler never
-changes a served byte.
 
 Any difference — a float, an axis label, a schema field — is a failure.
 
@@ -88,19 +79,12 @@ YIELD_GRID: dict = {
 }
 
 
-#: The smoke server runs with micro-batching ON: a short window keeps the
-#: added per-request latency negligible while the burst check below (and
-#: every bit-identity check in the file) exercises the coalescing path.
-COALESCE_WINDOW_MS = 150.0
-
-
 def start_server(env: dict,
                  spec_cache: str) -> tuple[subprocess.Popen, str]:
     """Boot ``python -m repro.serve --port 0`` and parse its bound address."""
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--port", "0",
-         "--coalesce-window-ms", str(COALESCE_WINDOW_MS),
-         "--max-coalesce", "8", "--spec-cache", spec_cache],
+         "--spec-cache", spec_cache],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         cwd=REPO_ROOT, env=env)
     assert process.stdout is not None
@@ -421,68 +405,6 @@ def check_jobs_async(base_url: str) -> int:
     return 0
 
 
-def check_coalescing(base_url: str) -> int:
-    """A coalesced burst must match solo submits, and metrics must show it."""
-    from concurrent.futures import ThreadPoolExecutor
-    from repro.api import MixerService, SpecRequest
-    from repro.core.config import MixerDesign
-
-    designs = [MixerDesign().with_gain_setting(1.0 + 0.003 * index)
-               for index in range(8)]
-    requests = [SpecRequest(experiment="fig8", design=design,
-                            grid={"points": POINTS})
-                for design in designs]
-    # Three exact duplicates of the last request ride along: singleflight
-    # should answer them from the leader's one execution (or, if they land
-    # after it finished, from the response cache — either way no recompute
-    # changes a byte).
-    requests += [requests[-1]] * 3
-    with ThreadPoolExecutor(max_workers=len(requests)) as pool:
-        served = list(pool.map(
-            lambda request: post_json(base_url + "/v1/spec",
-                                      request.to_dict()),
-            requests))
-    solo = MixerService(response_cache=False)
-    for index, (request, response) in enumerate(zip(requests, served)):
-        expected = solo.submit(request).to_dict()
-        for payload in (response, expected):
-            # Wall-clock timing and cache provenance are the only fields
-            # allowed to differ between a merged and a solo answer.
-            payload.pop("elapsed_s", None)
-            payload.pop("source", None)
-        if response != expected:
-            print(f"FAIL: coalesced burst response #{index} differs from "
-                  f"a solo MixerService.submit()", file=sys.stderr)
-            return 1
-    jobs = get_json(base_url + "/v1/metrics").get("jobs", {})
-    coalesce = jobs.get("coalesce") or {}
-    problems = []
-    for key in ("enabled", "coalesced_batches", "coalesced_jobs",
-                "batch_size_le", "singleflight_hits"):
-        if key not in coalesce:
-            problems.append(f"metrics missing jobs.coalesce.{key}")
-    if "queue_wait_le_s" not in jobs:
-        problems.append("metrics missing jobs.queue_wait_le_s")
-    if not problems:
-        if not coalesce["enabled"]:
-            problems.append("coalescing reported disabled despite the flag")
-        if coalesce["coalesced_batches"] < 1:
-            problems.append("burst produced no coalesced batch")
-        if coalesce["singleflight_hits"] < 1:
-            problems.append("identical duplicates produced no "
-                            "singleflight hit")
-    if problems:
-        for problem in problems:
-            print(f"FAIL: coalescing: {problem}", file=sys.stderr)
-        return 1
-    print(f"serve smoke OK: coalesced {len(requests)}-request fig8 burst is "
-          f"bit-identical to solo submits "
-          f"[{coalesce['coalesced_batches']} merged batch(es), "
-          f"{coalesce['coalesced_jobs']} jobs merged, "
-          f"{coalesce['singleflight_hits']} singleflight hit(s)]")
-    return 0
-
-
 def _engine_cache_requests() -> list[dict]:
     """Four designs (two per shard at ``workers: 2``), table1 and fig10."""
     from repro.api import SpecRequest
@@ -577,6 +499,8 @@ def check_metrics(base_url: str) -> int:
     jobs = snapshot.get("jobs", {})
     if jobs.get("completed", 0) < 1 or jobs.get("failed", 0) != 0:
         problems.append(f"unexpected job counters: {jobs}")
+    if "queue_wait_le_s" not in jobs:
+        problems.append("metrics missing jobs.queue_wait_le_s")
     cache = snapshot.get("response_cache") or {}
     if cache.get("stores", 0) < 1:
         problems.append("response cache recorded no stores")
@@ -616,7 +540,6 @@ def main() -> int:
             status = status or check_yield_opt(base_url)
             status = status or check_yield_pareto(base_url)
             status = status or check_jobs_async(base_url)
-            status = status or check_coalescing(base_url)
             status = status or check_metrics(base_url)
         finally:
             stop_server(process)
