@@ -20,6 +20,7 @@ from repro.api import MixerService, SpecRequest, progress_scope
 from repro.api.progress import current_callback, report_progress
 from repro.api.request import RequestValidationError
 from repro.api.response_cache import ResponseCache
+from repro.core.config import MixerDesign
 from repro.serve.jobs import (
     JOB_DONE,
     JOB_FAILED,
@@ -271,6 +272,179 @@ class TestScheduling:
         finally:
             gate.set()
             manager.shutdown()
+
+    def test_single_worker_starts_jobs_in_submit_order(self):
+        manager = JobManager(MixerService(registry=echo_registry()),
+                             workers=1, queue_limit=8)
+        gate = open_gate("fifo")
+        try:
+            blocker = manager.submit(echo(9.0, gate="fifo"))
+            _wait_running(blocker)
+            jobs = [manager.submit(echo(float(value)))
+                    for value in (3.0, 1.0, 2.0)]
+            gate.set()
+            for job in jobs:
+                manager.wait(job, timeout=WAIT_S)
+                assert job.state == JOB_DONE
+            starts = [job.started_monotonic for job in [blocker, *jobs]]
+            assert starts == sorted(starts)
+            assert len(set(starts)) == len(starts)
+        finally:
+            gate.set()
+            manager.shutdown()
+
+    def test_identical_jobs_without_response_cache_each_run_the_engine(self):
+        manager = JobManager(
+            MixerService(registry=echo_registry(), response_cache=False),
+            workers=1, queue_limit=8)
+        gate = open_gate("no-dedup")
+        CALLS.clear()
+        try:
+            blocker = manager.submit(echo(9.0, gate="no-dedup"))
+            _wait_running(blocker)
+            jobs = [manager.submit(echo(5.0)) for _ in range(4)]
+            gate.set()
+            for job in jobs:
+                manager.wait(job, timeout=WAIT_S)
+                assert job.state == JOB_DONE
+            # No tier merges identical queued jobs: with the response cache
+            # off, each one pays its own engine run.
+            assert CALLS["run"] == 5
+            payloads = [_decoded(job) for job in jobs]
+            for payload in payloads:
+                payload.pop("elapsed_s")
+                assert payload["source"] == "computed"
+            assert all(payload == payloads[0] for payload in payloads)
+        finally:
+            gate.set()
+            manager.shutdown()
+
+    def test_failed_identical_jobs_each_record_their_own_error(self):
+        manager = JobManager(
+            MixerService(registry=echo_registry(), response_cache=False),
+            workers=1, queue_limit=8)
+        gate = open_gate("fail-each")
+        try:
+            blocker = manager.submit(echo(9.0, gate="fail-each"))
+            _wait_running(blocker)
+            jobs = [manager.submit(echo(5.0, fail=True)) for _ in range(3)]
+            gate.set()
+            for job in jobs:
+                manager.wait(job, timeout=WAIT_S)
+                assert job.state == JOB_FAILED
+                assert job.error_kind == "internal"
+                assert "injected runner failure" in job.error
+                assert job.result is None
+            manager.wait(blocker, timeout=WAIT_S)
+            stats = manager.stats()
+            assert stats["failed"] == 3
+            assert stats["completed"] == 1
+            assert stats["running"] == 0
+            assert stats["queued"] == 0
+        finally:
+            gate.set()
+            manager.shutdown()
+
+    def test_concurrent_jobs_keep_separate_progress(self, manager):
+        gates = [open_gate("progress-a"), open_gate("progress-b")]
+        jobs = []
+        try:
+            for name in ("progress-a", "progress-b"):
+                jobs.append(manager.submit(echo(1.0, gate=name)))
+            deadline = time.monotonic() + WAIT_S
+            while not all(job.progress for job in jobs) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.002)
+            # Each worker reports into its own job's progress dict only.
+            assert [job.progress["gate"] for job in jobs] == \
+                ["progress-a", "progress-b"]
+            assert jobs[0].progress is not jobs[1].progress
+        finally:
+            for gate in gates:
+                gate.set()
+        for job in jobs:
+            manager.wait(job, timeout=WAIT_S)
+            assert job.state == JOB_DONE
+
+    def test_batch_job_matches_in_process_submit_batch(self):
+        designs = [MixerDesign().with_gain_setting(1.0 + 0.002 * index)
+                   for index in range(3)]
+        requests = [SpecRequest(experiment="echo_batch", design=design,
+                                grid={"value": 1.0})
+                    for design in designs]
+        solo = MixerService(registry=echo_registry(), response_cache=False)
+        expected = [response.to_dict()
+                    for response in solo.submit_batch(requests)]
+        manager = JobManager(
+            MixerService(registry=echo_registry(), response_cache=False),
+            workers=1, queue_limit=4)
+        try:
+            job = manager.submit_batch(requests)
+            manager.wait(job, timeout=WAIT_S)
+            assert job.state == JOB_DONE
+            got = _decoded(job)["responses"]
+            assert len(got) == len(expected)
+            for left, right in zip(got, expected):
+                # Wall-clock timing is the only field allowed to differ.
+                left.pop("elapsed_s"), right.pop("elapsed_s")
+                assert left == right
+            assert len({entry["result"]["fields"]["label"]
+                        for entry in got}) == 3
+        finally:
+            manager.shutdown()
+
+    def test_shutdown_finishes_queued_jobs_and_refuses_new_ones(self):
+        manager = JobManager(MixerService(registry=echo_registry()),
+                             workers=1, queue_limit=4)
+        gate = open_gate("shutdown-drain")
+        try:
+            blocker = manager.submit(echo(9.0, gate="shutdown-drain"))
+            _wait_running(blocker)
+            queued = [manager.submit(echo(float(value)))
+                      for value in (1.0, 2.0)]
+            manager.shutdown(wait=False)
+            with pytest.raises(RuntimeError, match="shut down"):
+                manager.submit(echo(3.0))
+            gate.set()
+            for job in [blocker, *queued]:
+                manager.wait(job, timeout=WAIT_S)
+                assert job.state == JOB_DONE
+            assert manager.stats()["submitted"] == 3
+        finally:
+            gate.set()
+            for thread in manager._threads:
+                thread.join(timeout=WAIT_S)
+        assert not any(thread.is_alive() for thread in manager._threads)
+
+    def test_queue_wait_histogram_counts_every_started_job(self, manager):
+        jobs = [manager.submit(echo(float(value))) for value in range(3)]
+        for job in jobs:
+            manager.wait(job, timeout=WAIT_S)
+        histogram = manager.stats()["queue_wait_le_s"]
+        assert histogram["+Inf"] == 3
+        counts = list(histogram.values())
+        assert counts == sorted(counts)  # cumulative, ending at +Inf
+
+
+class TestPlanning:
+    def test_solo_experiment_plans_carry_the_group_token(self):
+        # ``echo`` has no batch runner; its plan still carries the token
+        # that ``plan_groups`` groups by.
+        service = MixerService(registry=echo_registry(),
+                               response_cache=False)
+        designs = [MixerDesign(), MixerDesign().with_gain_setting(1.05)]
+        same_grid = [SpecRequest(experiment="echo", design=design,
+                                 grid={"value": 2.0})
+                     for design in designs]
+        other_grid = SpecRequest(experiment="echo", grid={"value": 3.0})
+        tokens = [service.plan_request(request).token
+                  for request in [*same_grid, other_grid]]
+        assert tokens[0] is not None
+        assert tokens[0] == tokens[1] != tokens[2]
+        responses, groups = service.plan_groups([*same_grid, other_grid])
+        assert responses == [None, None, None]
+        assert [[index for index, _, _ in group.members]
+                for group in groups] == [[0, 1], [2]]
 
 
 class TestWaitTimeout:

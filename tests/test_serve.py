@@ -28,8 +28,10 @@ from repro.serve import (
     MAX_BODY_BYTES,
     SpecRequestHandler,
     create_server,
+    main as serve_main,
     serve_in_thread,
 )
+from repro.serve.jobs import JobManager
 
 from api_test_helpers import (
     EXPERIMENT_NAMES,
@@ -357,6 +359,16 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "/v1/spec" in payload["requests"]
         assert payload["jobs"]["workers"] >= 1
+
+    @pytest.mark.parametrize("flag", ["--coalesce-window-ms",
+                                      "--max-coalesce"])
+    def test_serve_rejects_removed_scheduler_flags(self, flag, capsys):
+        # The job scheduler has one execution path and no tuning flags;
+        # argparse refuses the flags before any server is bound.
+        with pytest.raises(SystemExit) as excinfo:
+            serve_main([flag, "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConcurrentClients:
@@ -702,6 +714,16 @@ class TestMetricsEndpoint:
         cache = snapshot["response_cache"]
         assert cache["stores"] >= 1
         assert 0.0 <= cache["hit_rate"] <= 1.0
+
+    def test_jobs_block_is_the_manager_stats(self, base_url):
+        jobs = get_json(base_url + "/v1/metrics")["jobs"]
+        manager = JobManager(MixerService(registry=echo_registry()),
+                             workers=1, queue_limit=1)
+        try:
+            assert set(jobs) == set(manager.stats())
+        finally:
+            manager.shutdown()
+        assert "coalesce" not in jobs
 
     def test_unknown_paths_collapse_to_one_label(self, base_url):
         for suffix in ("/nope", "/also/nope"):
