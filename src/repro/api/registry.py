@@ -142,7 +142,6 @@ def register_experiment(*, name: str, artefact: str, summary: str,
                         result_type: type, report: Callable[[Any], str],
                         runner: Callable[..., Any] | None = None,
                         batch_runner: Callable[..., Mapping[str, Any]] | None = None,
-                        default_grid: Mapping[str, Any] | None = None,
                         payload_types: tuple[type, ...] = (),
                         ) -> ExperimentSpec:
     """Register one experiment into :data:`GLOBAL_REGISTRY`.
@@ -151,8 +150,8 @@ def register_experiment(*, name: str, artefact: str, summary: str,
     ``batch_runner(designs, **grid, workers=, cache=)`` (an engine-backed
     one, whose solo runner is then :func:`solo_runner`).  The default grid
     is every parameter of that signature except ``design``/``designs``/
-    ``workers``/``cache``, tuples as lists (their wire form), unless
-    ``default_grid`` is given; the options accepted are the ones it has.
+    ``workers``/``cache``, tuples as lists (their wire form); the options
+    accepted are the ones it has.
     ``payload_types`` lists the nested dataclasses the result embeds (the
     result type itself is always registered) so the serialization layer can
     round-trip the whole object graph.
@@ -161,23 +160,22 @@ def register_experiment(*, name: str, artefact: str, summary: str,
         raise TypeError(f"experiment {name!r}: pass exactly one of runner= "
                         "or batch_runner=")
     parameters = inspect.signature(batch_runner or runner).parameters
-    if default_grid is None:
-        default_grid = {}
-        for parameter in parameters.values():
-            if parameter.name in _NON_GRID:
-                continue
-            if parameter.default is parameter.empty:
-                raise TypeError(f"experiment {name!r}: grid parameter "
-                                f"{parameter.name!r} needs a default")
-            default = parameter.default
-            default_grid[parameter.name] = list(default) \
-                if isinstance(default, tuple) else default
+    default_grid = {}
+    for parameter in parameters.values():
+        if parameter.name in _NON_GRID:
+            continue
+        if parameter.default is parameter.empty:
+            raise TypeError(f"experiment {name!r}: grid parameter "
+                            f"{parameter.name!r} needs a default")
+        default = parameter.default
+        default_grid[parameter.name] = list(default) \
+            if isinstance(default, tuple) else default
     register_payload_type(result_type, *payload_types)
     spec = ExperimentSpec(
         name=name, artefact=artefact, summary=summary,
         runner=runner or solo_runner(batch_runner, result_type),
         result_type=result_type, report=report,
-        default_grid=dict(default_grid),
+        default_grid=default_grid,
         accepts_workers="workers" in parameters,
         accepts_cache="cache" in parameters,
         batch_runner=batch_runner)

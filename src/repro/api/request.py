@@ -89,16 +89,14 @@ class SpecRequest:
         point counts, tone plans); unknown names are rejected at validation.
     workers:
         Process count for the sweep engine (experiments that accept it).
-    cache:
-        Spec-cache selector forwarded to the runner (``True``, a directory,
-        or ``None``); orthogonal to the service's *response* cache.
+        The engine cache is not a request option: it belongs to the service
+        that runs the request (``MixerService(spec_cache=)``).
     """
 
     experiment: str
     design: MixerDesign = field(default_factory=MixerDesign)
     grid: Mapping[str, Any] = field(default_factory=dict)
     workers: int | None = None
-    cache: Any = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.experiment, str) or not self.experiment:
@@ -130,9 +128,6 @@ class SpecRequest:
         if self.workers is not None and not spec.accepts_workers:
             raise RequestValidationError(
                 f"experiment {spec.name!r} does not accept workers=")
-        if self.cache is not None and not spec.accepts_cache:
-            raise RequestValidationError(
-                f"experiment {spec.name!r} does not accept cache=")
         resolved = dict(spec.default_grid)
         for name, value in self.grid.items():
             resolved[name] = _jsonable_grid_value(value)
@@ -144,9 +139,9 @@ class SpecRequest:
                     resolved_grid: Mapping[str, Any] | None = None) -> str:
         """Stable content hash of (experiment, design, resolved grid).
 
-        The execution options (``workers`` / ``cache``) are deliberately
-        excluded: the engine guarantees bit-identical results for any worker
-        count and cache state, so they must never split the response cache.
+        The execution option ``workers`` is deliberately excluded: the
+        engine guarantees bit-identical results for any worker count, so it
+        must never split the response cache.
         Callers that already hold the :meth:`validate` output pass it as
         ``resolved_grid`` to skip re-validating.
         """
@@ -171,13 +166,6 @@ class SpecRequest:
                                for name, value in self.grid.items()}
         if self.workers is not None:
             payload["workers"] = int(self.workers)
-        if self.cache is not None and not isinstance(self.cache, bool) \
-                and not isinstance(self.cache, str):
-            raise RequestValidationError(
-                "only cache=True/False or a directory string serialize; "
-                "pass SpecCache instances to in-process services only")
-        if self.cache is not None:
-            payload["cache"] = self.cache
         return payload
 
     @classmethod
@@ -192,8 +180,7 @@ class SpecRequest:
         """
         if not isinstance(payload, Mapping):
             raise RequestValidationError("request payload must be a mapping")
-        known = {"api_version", "experiment", "design", "grid", "workers",
-                 "cache"}
+        known = {"api_version", "experiment", "design", "grid", "workers"}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise RequestValidationError(
@@ -216,13 +203,8 @@ class SpecRequest:
         if workers is not None:
             if isinstance(workers, bool) or not isinstance(workers, int):
                 raise RequestValidationError("workers must be an integer")
-        cache = payload.get("cache")
-        if cache is not None and not isinstance(cache, (bool, str)):
-            # Mirrors to_dict: only bool / directory-string travel the wire.
-            raise RequestValidationError(
-                "cache must be true/false or a directory string")
         return cls(experiment=str(payload["experiment"]), design=design,
-                   grid=dict(grid), workers=workers, cache=cache)
+                   grid=dict(grid), workers=workers)
 
 
 #: Where a response's answer came from.

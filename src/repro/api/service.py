@@ -17,6 +17,7 @@ matter which door the request came through.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -83,12 +84,14 @@ class MixerService:
         adds the disk tier; an existing :class:`ResponseCache` is used
         as-is; ``False`` disables response caching entirely.
     spec_cache:
-        Default ``cache=`` option forwarded to runners that accept it (a
-        request's own ``cache`` field wins).  This is the *engine* cache of
-        solved intermediates, one tier below the response cache.
+        The ``cache=`` option forwarded to runners that accept it.  This is
+        the *engine* cache of solved intermediates, one tier below the
+        response cache; requests cannot name one.
     workers:
         Default ``workers=`` for runners that accept it (a request's own
-        ``workers`` field wins).
+        ``workers`` field wins).  Either is capped at ``os.cpu_count()``:
+        results are bit-identical for any worker count, and every distinct
+        count keeps its own persistent process pool.
     lru_size:
         Capacity of the memory tier when the service builds its own cache.
     """
@@ -138,12 +141,9 @@ class MixerService:
             workers = request.workers if request.workers is not None \
                 else self.workers
             if workers is not None:
-                options["workers"] = workers
-        if spec.accepts_cache:
-            cache = request.cache if request.cache is not None \
-                else self.spec_cache
-            if cache is not None:
-                options["cache"] = cache
+                options["workers"] = min(workers, os.cpu_count() or 1)
+        if spec.accepts_cache and self.spec_cache is not None:
+            options["cache"] = self.spec_cache
         return options
 
     def _cached_response(self, key: str) -> SpecResponse | None:
@@ -183,15 +183,12 @@ class MixerService:
                      resolved: dict[str, Any]) -> tuple:
         """Grouping identity: requests with equal tokens may share a run.
 
-        The execution options are part of the token so a member's explicit
-        ``workers=``/``cache=`` is honoured, never silently dropped in
-        favour of another member's.
+        The execution option is part of the token so a member's explicit
+        ``workers=`` is honoured, never silently dropped in favour of
+        another member's.
         """
-        cache_token = request.cache \
-            if isinstance(request.cache, (bool, str, type(None))) \
-            else id(request.cache)
         return (request.experiment, json.dumps(resolved, sort_keys=True),
-                request.workers, cache_token)
+                request.workers)
 
     def plan_request(self, request: SpecRequest) -> RequestPlan:
         """Validate one request and derive its dispatch identity.

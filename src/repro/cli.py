@@ -78,8 +78,7 @@ def _build_request(args: argparse.Namespace) -> SpecRequest:
         grid[name] = _parse_grid_value(value)
     return SpecRequest(experiment=args.experiment,
                        design=_load_design(args.design),
-                       grid=grid, workers=args.workers,
-                       cache=args.spec_cache)
+                       grid=grid, workers=args.workers)
 
 
 def _http_json(url: str, payload: dict | None = None,
@@ -190,6 +189,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     request = _build_request(args)
+    if args.url and args.spec_cache:
+        raise RequestValidationError("--spec-cache is a local-run option; "
+                                     "a server uses its own engine cache")
     if args.url and args.job:
         response = _submit_job(args.url, request)
     elif args.url:
@@ -240,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("--workers", type=int, default=None,
                             help="sweep-engine worker processes")
     run_parser.add_argument("--spec-cache", default=None, metavar="DIR",
-                            help="on-disk spec cache directory")
+                            help="on-disk engine cache (local runs only)")
     run_parser.add_argument("--url", default=None,
                             help="send to a running repro.serve instance "
                                  "instead of running in-process")

@@ -28,8 +28,9 @@ The outer loop is a seeded population search:
 3. the best candidate (strictly higher yield; ties keep the incumbent)
    becomes the next centre.
 
-:func:`run_pareto_opt` is the multi-objective mode over the same engine
-plumbing: instead of a single scalar winner it maintains a non-dominated
+:func:`run_pareto_opt` is the multi-objective mode over the same
+generation loop (:class:`_SearchLoop`: steps 1 and 2 and the target pass
+masks): instead of a single scalar winner it maintains a non-dominated
 :class:`~repro.optimize.pareto.ParetoFront` over configurable
 :class:`~repro.optimize.pareto.Objective` axes — Monte-Carlo yield against
 the targets, plus any targetable spec metric (power, gain, NF, the
@@ -49,7 +50,9 @@ fingerprints on every surface and worker count (asserted in
 Registered as the ``yield_opt`` and ``yield_pareto`` experiments, so both
 searches run through :class:`~repro.api.service.MixerService`,
 ``python -m repro.serve`` and ``python -m repro.cli`` via the standard
-:class:`~repro.api.request.SpecRequest` envelope.
+:class:`~repro.api.request.SpecRequest` envelope.  Like every experiment,
+each declares its default grid once, in its signature, as immutable wire
+forms the registry serves verbatim.
 """
 
 from __future__ import annotations
@@ -466,17 +469,76 @@ def _corner_axis(candidates: Sequence[MixerDesign], iteration: int,
     return corner_designs
 
 
+class _SearchLoop:
+    """The generation loop both optimisers run.
+
+    Validates the knobs and loop sizes, then builds the
+    :class:`_CornerScorer` and the proposal strategy once.  Iterating it
+    runs, per generation: propose -> :func:`_corner_axis` ->
+    :meth:`_CornerScorer.values` -> per-target pass masks, and yields
+    ``(iteration, candidates, values, per_target, yields)``: the measured
+    ``key -> (population, num_samples)`` table, the pass masks and each
+    candidate's overall yield.  The caller ranks the generation and feeds
+    its order back through ``self.proposer.observe`` before the next one.
+    """
+
+    def __init__(self, design: MixerDesign | None, targets: Sequence | None,
+                 knobs: Sequence[str] | None, population: int,
+                 iterations: int, num_samples: int, seed: int,
+                 search_span: float, shrink: float, strategy: str,
+                 workers: int | None, cache,
+                 objectives: Sequence[Objective] = ()) -> None:
+        self.targets = list(parse_targets(targets))
+        self.knobs = _validate_knobs(knobs)
+        _validate_loop(population, iterations, num_samples, search_span,
+                       shrink)
+        self.seed = int(seed)
+        self.population = population
+        self.iterations = iterations
+        self.num_samples = num_samples
+        self.evaluations = 0
+        self.scorer = _CornerScorer(
+            design, _metric_needs(self.targets, objectives),
+            workers=workers, cache=cache)
+        self.base = self.scorer.base
+        self.proposer = make_strategy(
+            strategy, self.base, self.knobs, seed=self.seed,
+            population=population, search_span=search_span, shrink=shrink)
+
+    def __iter__(self):
+        spread = DeviceSpread()
+        shape = (self.population, self.num_samples)
+        for iteration in range(self.iterations):
+            candidates = self.proposer.propose(iteration)
+            corner_designs = _corner_axis(candidates, iteration, self.seed,
+                                          self.num_samples, spread)
+            values = {key: value.reshape(shape) for key, value
+                      in self.scorer.values(corner_designs).items()}
+            self.evaluations += self.population * self.num_samples
+            # Pass masks per target, AND-ed into the overall yield.
+            per_target = {target.key: target.passes(values[target.key])
+                          for target in self.targets}
+            passing = np.logical_and.reduce(list(per_target.values()))
+            yield iteration, candidates, values, per_target, \
+                passing.mean(axis=1)
+
+
+def _spec_yields(per_target: Mapping[str, np.ndarray],
+                 index: int) -> dict[str, float]:
+    """One candidate's yield against each target."""
+    return {key: float(mask[index].mean()) for key, mask in per_target.items()}
+
+
 def run_yield_opt(design: MixerDesign | None = None,
-                  targets: Sequence | None = None,
-                  knobs: Sequence[str] | None = None,
+                  targets: Sequence | None = tuple(default_targets_wire()),
+                  knobs: Sequence[str] | None = DEFAULT_KNOBS,
                   population: int = 8, iterations: int = 3,
                   num_samples: int = 16, seed: int = DEFAULT_SEED,
                   search_span: float = 0.12, shrink: float = 0.5,
                   strategy: str = "shrinking_span",
-                  objectives: Sequence | None = None,
                   workers: int | None = None,
                   cache: SpecCache | str | bool | None = None
-                  ) -> YieldOptResult | ParetoOptResult:
+                  ) -> YieldOptResult:
     """Search the design knobs for maximum yield against spec targets.
 
     Parameters
@@ -487,7 +549,7 @@ def run_yield_opt(design: MixerDesign | None = None,
         the incoming design's own yield.
     targets:
         Acceptance bounds — :class:`SpecTarget` objects or their wire form
-        ``[spec, mode, min, max]``; ``None`` selects the Table I defaults.
+        ``[spec, mode, min, max]``; default (or ``None``): Table I.
         Analytic specs score through the spec sweep engine; the
         waveform-measured specs (``waveform_iip3_dbm`` /
         ``waveform_p1db_dbm``) score every corner through the batched
@@ -500,7 +562,7 @@ def run_yield_opt(design: MixerDesign | None = None,
         gate the search too.
     knobs:
         Design parameters the search may move (subset of
-        :data:`SEARCHABLE_KNOBS`); ``None`` selects :data:`DEFAULT_KNOBS`.
+        :data:`SEARCHABLE_KNOBS`); default :data:`DEFAULT_KNOBS` (or ``None``).
     population / iterations / num_samples:
         Candidates per iteration, search iterations, and Monte-Carlo corners
         per candidate.  Every iteration evaluates ``population *
@@ -519,38 +581,14 @@ def run_yield_opt(design: MixerDesign | None = None,
         ``"shrinking_span"`` (the original pattern search, bit-identical to
         the pre-strategy optimiser) or ``"cma"`` (covariance-adapted CMA-ES
         proposals that learn the knob correlations each generation reveals).
-    objectives:
-        ``None`` runs the scalar search.  A list of
-        :class:`~repro.optimize.pareto.Objective` (or wire ``[metric, mode,
-        direction]`` arrays) switches to the multi-objective Pareto mode —
-        the call is forwarded to :func:`run_pareto_opt` and returns its
-        :class:`~repro.optimize.pareto.ParetoOptResult`.
     workers / cache:
         Engine options: process count for the sharded runners and the
         on-disk :class:`~repro.sweep.cache.CellCache` of evaluated cells.
     """
-    if objectives is not None:
-        return run_pareto_opt(design=design, targets=targets,
-                              objectives=objectives, knobs=knobs,
-                              population=population, iterations=iterations,
-                              num_samples=num_samples, seed=seed,
-                              search_span=search_span, shrink=shrink,
-                              strategy=strategy, workers=workers,
-                              cache=cache)
-    target_list = list(parse_targets(targets))
-    knob_list = _validate_knobs(knobs)
-    _validate_loop(population, iterations, num_samples, search_span, shrink)
-    seed = int(seed)
-
-    scorer = _CornerScorer(design, _metric_needs(target_list),
-                           workers=workers, cache=cache)
-    base = scorer.base
-    spread = DeviceSpread()
-    proposer = make_strategy(strategy, base, knob_list, seed=seed,
-                             population=population, search_span=search_span,
-                             shrink=shrink)
-
-    best_design = base
+    loop = _SearchLoop(design, targets, knobs, population, iterations,
+                       num_samples, seed, search_span, shrink, strategy,
+                       workers, cache)
+    best_design = loop.base
     best_yield = -1.0
     best_spec_yields: dict[str, float] = {}
     best_label = ""
@@ -558,33 +596,15 @@ def run_yield_opt(design: MixerDesign | None = None,
     baseline_yield = 0.0
     history: list[float] = []
     outcomes: list[CandidateOutcome] = []
-    evaluations = 0
 
-    for iteration in range(iterations):
-        candidates = proposer.propose(iteration)
-        corner_designs = _corner_axis(candidates, iteration, seed,
-                                      num_samples, spread)
-        values_by_key = scorer.values(corner_designs)
-        evaluations += population * num_samples
-
-        # Score: pass masks per target, AND-ed into the overall yield.
-        shape = (population, num_samples)
-        passing = np.ones(shape, dtype=bool)
-        per_target: dict[str, np.ndarray] = {}
-        for target in target_list:
-            mask = target.passes(values_by_key[target.key].reshape(shape))
-            per_target[target.key] = mask
-            passing &= mask
-        yields = passing.mean(axis=1)
-
+    for iteration, candidates, _, per_target, yields in loop:
         for index, candidate in enumerate(candidates):
             outcomes.append(CandidateOutcome(
                 label=_CANDIDATE_LABEL.format(iteration=iteration,
                                               candidate=index),
                 design_fingerprint=candidate.fingerprint(),
                 overall_yield=float(yields[index]),
-                spec_yields={key: float(mask[index].mean())
-                             for key, mask in per_target.items()},
+                spec_yields=_spec_yields(per_target, index),
             ))
         if iteration == 0:
             baseline_yield = float(yields[0])
@@ -593,8 +613,7 @@ def run_yield_opt(design: MixerDesign | None = None,
         if float(yields[champion]) > best_yield:
             best_yield = float(yields[champion])
             best_design = candidates[champion]
-            best_spec_yields = {key: float(mask[champion].mean())
-                                for key, mask in per_target.items()}
+            best_spec_yields = _spec_yields(per_target, champion)
             best_label = _CANDIDATE_LABEL.format(iteration=iteration,
                                                  candidate=champion)
             best_iteration = iteration
@@ -607,13 +626,13 @@ def run_yield_opt(design: MixerDesign | None = None,
                         iterations=iterations, best_yield=float(best_yield),
                         best_label=best_label,
                         baseline_yield=float(baseline_yield),
-                        evaluations=evaluations, strategy=strategy,
+                        evaluations=loop.evaluations, strategy=strategy,
                         history=[float(value) for value in history])
 
         # Fitness order, best first (stable: first index wins ties) — the
         # strategies consume the ranking, not just the champion.
         order = [int(i) for i in np.argsort(-yields, kind="stable")]
-        proposer.observe(iteration, candidates, order, best_design)
+        loop.proposer.observe(iteration, candidates, order, best_design)
 
     return YieldOptResult(
         best_design=best_design,
@@ -622,24 +641,25 @@ def run_yield_opt(design: MixerDesign | None = None,
         best_label=best_label,
         best_iteration=best_iteration,
         baseline_yield=baseline_yield,
-        initial_design=base,
+        initial_design=loop.base,
         history=np.asarray(history, dtype=float),
-        targets=target_list,
-        knobs=list(knob_list),
+        targets=loop.targets,
+        knobs=list(loop.knobs),
         population=population,
         iterations=iterations,
         num_samples=num_samples,
-        seed=seed,
-        evaluations=evaluations,
+        seed=loop.seed,
+        evaluations=loop.evaluations,
         candidates=outcomes,
         strategy=strategy,
     )
 
 
 def run_pareto_opt(design: MixerDesign | None = None,
-                   targets: Sequence | None = None,
-                   objectives: Sequence | None = None,
-                   knobs: Sequence[str] | None = None,
+                   targets: Sequence | None = tuple(default_targets_wire()),
+                   objectives: Sequence | None =
+                   tuple(default_objectives_wire()),
+                   knobs: Sequence[str] | None = DEFAULT_KNOBS,
                    population: int = 8, iterations: int = 3,
                    num_samples: int = 16, seed: int = DEFAULT_SEED,
                    search_span: float = 0.12, shrink: float = 0.5,
@@ -649,11 +669,11 @@ def run_pareto_opt(design: MixerDesign | None = None,
                    ) -> ParetoOptResult:
     """Multi-objective search: maintain a Pareto front over the objectives.
 
-    Same engine plumbing as :func:`run_yield_opt` — strategy-proposed
+    The same generation loop as :func:`run_yield_opt` — strategy-proposed
     populations, every generation's Monte-Carlo corners as one sharded
     design axis — but the answer is the running non-dominated
     :class:`~repro.optimize.pareto.ParetoFront` over ``objectives``
-    (``None`` selects yield vs active power vs active gain,
+    (default yield vs active power vs active gain,
     :func:`~repro.optimize.pareto.default_objectives`).  Per-candidate
     objective values are the Monte-Carlo yield against ``targets`` plus the
     corner-mean of every spec objective, so each point carries both its
@@ -668,64 +688,32 @@ def run_pareto_opt(design: MixerDesign | None = None,
     cumulative history through :func:`repro.api.progress.report_progress`
     (stage ``"pareto_opt"``), observable from ``GET /v1/jobs/<id>``.
     """
-    target_list = list(parse_targets(targets))
     objective_list = list(parse_objectives(objectives))
-    knob_list = _validate_knobs(knobs)
-    _validate_loop(population, iterations, num_samples, search_span, shrink)
-    seed = int(seed)
-
-    scorer = _CornerScorer(design, _metric_needs(target_list, objective_list),
-                           workers=workers, cache=cache)
-    base = scorer.base
-    spread = DeviceSpread()
-    proposer = make_strategy(strategy, base, knob_list, seed=seed,
-                             population=population, search_span=search_span,
-                             shrink=shrink)
+    loop = _SearchLoop(design, targets, knobs, population, iterations,
+                       num_samples, seed, search_span, shrink, strategy,
+                       workers, cache, objectives=objective_list)
     signs = np.array([objective.sign for objective in objective_list])
-
     front = ParetoFront(objectives=objective_list, points=[])
     front_history: list[list[dict]] = []
     baseline_point: ParetoPoint | None = None
-    evaluations = 0
 
-    for iteration in range(iterations):
-        candidates = proposer.propose(iteration)
-        corner_designs = _corner_axis(candidates, iteration, seed,
-                                      num_samples, spread)
-        values_by_key = scorer.values(corner_designs)
-        evaluations += population * num_samples
-
-        shape = (population, num_samples)
-        passing = np.ones(shape, dtype=bool)
-        per_target: dict[str, np.ndarray] = {}
-        for target in target_list:
-            mask = target.passes(values_by_key[target.key].reshape(shape))
-            per_target[target.key] = mask
-            passing &= mask
-        yields = passing.mean(axis=1)
-
+    for iteration, candidates, values, per_target, yields in loop:
         # Objective matrix: yield straight from the pass masks, every spec
         # objective as the candidate's corner mean (deterministic, like
         # every other aggregate the engine reports).
         matrix = np.empty((population, len(objective_list)))
         for column, objective in enumerate(objective_list):
-            if objective.mode is None:
-                matrix[:, column] = yields
-            else:
-                matrix[:, column] = \
-                    values_by_key[objective.key].reshape(shape).mean(axis=1)
+            matrix[:, column] = yields if objective.mode is None \
+                else values[objective.key].mean(axis=1)
 
-        points = []
-        for index, candidate in enumerate(candidates):
-            points.append(ParetoPoint(
-                label=_CANDIDATE_LABEL.format(iteration=iteration,
-                                              candidate=index),
-                design=candidate,
-                objectives=matrix[index].copy(),
-                overall_yield=float(yields[index]),
-                spec_yields={key: float(mask[index].mean())
-                             for key, mask in per_target.items()},
-            ))
+        points = [ParetoPoint(
+            label=_CANDIDATE_LABEL.format(iteration=iteration,
+                                          candidate=index),
+            design=candidate,
+            objectives=matrix[index].copy(),
+            overall_yield=float(yields[index]),
+            spec_yields=_spec_yields(per_target, index),
+        ) for index, candidate in enumerate(candidates)]
         if iteration == 0:
             baseline_point = points[0]
 
@@ -736,24 +724,25 @@ def run_pareto_opt(design: MixerDesign | None = None,
         # final front_history, like the scalar search's yield history.
         report_progress(stage="pareto_opt", iteration=iteration + 1,
                         iterations=iterations, strategy=strategy,
-                        front_size=front.size, evaluations=evaluations,
+                        front_size=front.size, evaluations=loop.evaluations,
                         front_history=list(front_history))
 
         order = pareto_order(matrix * signs)
-        proposer.observe(iteration, candidates, order, candidates[order[0]])
+        loop.proposer.observe(iteration, candidates, order,
+                              candidates[order[0]])
 
     return ParetoOptResult(
         front=front,
         objectives=objective_list,
-        targets=target_list,
-        knobs=list(knob_list),
+        targets=loop.targets,
+        knobs=list(loop.knobs),
         strategy=strategy,
         population=population,
         iterations=iterations,
         num_samples=num_samples,
-        seed=seed,
-        evaluations=evaluations,
-        initial_design=base,
+        seed=loop.seed,
+        evaluations=loop.evaluations,
+        initial_design=loop.base,
         baseline_point=baseline_point,
         front_history=front_history,
     )
@@ -782,35 +771,6 @@ def format_report(result: YieldOptResult) -> str:
     return "\n".join(lines)
 
 
-def _default_grid() -> Mapping[str, object]:
-    return {
-        "targets": default_targets_wire(),
-        "knobs": list(DEFAULT_KNOBS),
-        "population": 8,
-        "iterations": 3,
-        "num_samples": 16,
-        "seed": DEFAULT_SEED,
-        "search_span": 0.12,
-        "shrink": 0.5,
-        "strategy": "shrinking_span",
-    }
-
-
-def _pareto_default_grid() -> Mapping[str, object]:
-    return {
-        "targets": default_targets_wire(),
-        "objectives": default_objectives_wire(),
-        "knobs": list(DEFAULT_KNOBS),
-        "population": 8,
-        "iterations": 3,
-        "num_samples": 16,
-        "seed": DEFAULT_SEED,
-        "search_span": 0.12,
-        "shrink": 0.5,
-        "strategy": "shrinking_span",
-    }
-
-
 register_experiment(
     name=EXPERIMENT_NAME,
     artefact="Table I targets under process spread — yield optimisation",
@@ -819,7 +779,6 @@ register_experiment(
     runner=run_yield_opt,
     result_type=YieldOptResult,
     report=format_report,
-    default_grid=_default_grid(),
     payload_types=(CandidateOutcome, SpecTarget, MixerDesign, Technology),
 )
 
@@ -831,7 +790,6 @@ register_experiment(
     runner=run_pareto_opt,
     result_type=ParetoOptResult,
     report=format_pareto_report,
-    default_grid=_pareto_default_grid(),
     payload_types=(ParetoFront, ParetoPoint, Objective, SpecTarget,
                    MixerDesign, Technology),
 )

@@ -13,12 +13,10 @@ The load-bearing guarantees, straight from the acceptance bar:
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import inspect
 import json
 import os
-import sqlite3
 from dataclasses import replace
 
 import numpy as np
@@ -33,15 +31,24 @@ from repro.api import (
     SpecResponse,
     encode,
 )
-from repro.api.registry import GLOBAL_REGISTRY, register_experiment
+from repro.api.registry import (
+    GLOBAL_REGISTRY,
+    ExperimentRegistry,
+    ExperimentSpec,
+    register_experiment,
+)
 from repro.api.response_cache import RESPONSE_CACHE_VERSION
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.transconductance import sizing_solve_count
 from repro.experiments import run_fig8, sweep_fig8
-from repro.sweep.cache import DATABASE_NAME
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
-from api_test_helpers import EXPERIMENT_NAMES, SMALL_GRIDS, small_request
+from api_test_helpers import (
+    EXPERIMENT_NAMES,
+    SMALL_GRIDS,
+    EchoResult,
+    small_request,
+)
 
 
 #: The engine-backed experiments: each declares a ``sweep_*`` batch
@@ -164,14 +171,17 @@ class TestRequestValidation:
         spec = registry.get("fig8")
         base = SpecRequest(experiment="fig8", grid={"points": 32})
         tuned = SpecRequest(experiment="fig8", grid={"points": 32},
-                            workers=4, cache=True)
+                            workers=4)
         assert base.request_key(spec) == tuned.request_key(spec)
 
-    def test_from_dict_rejects_non_wire_cache_values(self):
-        with pytest.raises(RequestValidationError, match="cache"):
-            SpecRequest.from_dict({"experiment": "fig8", "cache": [1]})
-        assert SpecRequest.from_dict(
-            {"experiment": "fig8", "cache": True}).cache is True
+    def test_from_dict_rejects_a_cache_field(self):
+        # The engine cache is the service's (spec_cache=), not a request's.
+        for cache in (True, "/any/path"):
+            with pytest.raises(RequestValidationError,
+                               match=r"unknown request fields \['cache'\]"):
+                SpecRequest.from_dict({"experiment": "fig8", "cache": cache})
+        with pytest.raises(TypeError):
+            SpecRequest(experiment="fig8", cache=True)
 
     def test_request_key_tracks_design_and_grid(self, registry):
         spec = registry.get("fig8")
@@ -323,22 +333,63 @@ class TestBatchSubmission:
         assert responses[0].result_payload == warmed.result_payload
         assert not responses[1].cached and not responses[2].cached
 
-    def test_batch_honours_per_request_options(self, population, tmp_path):
-        # Requests with different execution options land in different
-        # groups; the one asking for a spec cache actually populates it.
-        requests = [small_request("fig8", population[0]),
-                    SpecRequest(experiment="fig8", design=population[1],
-                                grid=SMALL_GRIDS["fig8"],
-                                cache=str(tmp_path))]
-        responses = MixerService().submit_batch(requests)
+    def test_batch_honours_per_request_options(self, population):
+        # Requests with different workers= land in different groups, and
+        # each group's engine call gets its own members' option.
+        seen: list = []
+        spec = GLOBAL_REGISTRY.get("fig8")
+
+        def sweep_fig8_spy(designs, **kwargs):
+            seen.append(kwargs.get("workers"))
+            return spec.batch_runner(designs, **kwargs)
+
+        registry = ExperimentRegistry()
+        registry.register(replace(spec, batch_runner=sweep_fig8_spy))
+        requests = [SpecRequest(experiment="fig8", design=design,
+                                grid=SMALL_GRIDS["fig8"], workers=workers)
+                    for design, workers in zip(population + population[:1],
+                                               (None, None, 1, 1))]
+        responses = MixerService(registry=registry).submit_batch(requests)
         solo = [MixerService(response_cache=False).submit(request)
                 for request in requests]
         assert [r.result_payload for r in responses] == \
             [r.result_payload for r in solo]
-        with contextlib.closing(sqlite3.connect(
-                tmp_path / DATABASE_NAME)) as database:
-            (rows,) = database.execute("SELECT COUNT(*) FROM cells").fetchone()
-        assert rows > 0, "spec cache was not used"
+        assert seen == [None, 1]
+
+    def test_served_workers_capped_at_cpu_count(self, population,
+                                                monkeypatch):
+        # Results are bit-identical for any worker count, so a request may
+        # not make the server hold more pool processes than it has CPUs.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        seen: list = []
+
+        def run_spy(design, *, value: float = 1.0, workers=None):
+            seen.append(workers)
+            return EchoResult(label=design.fingerprint()[:12], value=value)
+
+        def batch_spy(designs, *, value: float = 1.0, workers=None):
+            seen.append(workers)
+            return {fingerprint: EchoResult(label=fingerprint[:12],
+                                            value=value)
+                    for fingerprint in designs}
+
+        registry = ExperimentRegistry()
+        registry.register(ExperimentSpec(
+            name="spy", artefact="test fixture", summary="captures workers",
+            runner=run_spy, result_type=EchoResult,
+            report=lambda result: "", default_grid={"value": 1.0},
+            accepts_cache=False, batch_runner=batch_spy))
+        service = MixerService(registry=registry, response_cache=False)
+        service.submit(SpecRequest(experiment="spy", workers=10_000))
+        service.submit_batch([SpecRequest(experiment="spy", design=design,
+                                          workers=10_000)
+                              for design in population[:2]])
+        assert seen == [3, 3]
+        defaulted = MixerService(registry=registry, response_cache=False,
+                                 workers=10_000)
+        defaulted.submit(SpecRequest(experiment="spy", workers=2))
+        defaulted.submit(SpecRequest(experiment="spy", grid={"value": 2.0}))
+        assert seen == [3, 3, 2, 3]
 
     def test_concurrent_stores_of_one_key_do_not_race(self, tmp_path):
         import threading

@@ -12,6 +12,7 @@ The load-bearing guarantees, straight from the acceptance bar:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import urllib.request
 
@@ -38,6 +39,43 @@ from api_test_helpers import ACTIVE_TARGETS
 #: several times per module.
 TINY = dict(population=3, iterations=2, num_samples=4,
             targets=ACTIVE_TARGETS)
+
+#: Pins of the default ``yield_opt`` request: the SHA-256 of its result
+#: payload (``json.dumps(..., sort_keys=True)``), its request key, and its
+#: registry listing (the ``GET /v1/experiments`` entry, key order
+#: included).  Any change to the search loop or to how its grid is declared
+#: must keep all three byte-identical.
+DEFAULT_RESULT_SHA256 = \
+    "74b2ea6ad1fd5491674936bfad436c634db516cbb5fb9d9a7274727ee1dd0d5a"
+DEFAULT_REQUEST_KEY = \
+    "fd278aa88d01367c33a6848e96c2b9564a30e02600b619ed00ba42d37a00b9b3"
+DEFAULT_GRID = {
+    "targets": [["conversion_gain_db", "active", 28.9, None],
+                ["noise_figure_db", "active", None, 7.85],
+                ["iip3_dbm", "active", -12.4, None],
+                ["power_mw", "active", None, 9.86],
+                ["conversion_gain_db", "passive", 25.2, None],
+                ["noise_figure_db", "passive", None, 10.45],
+                ["iip3_dbm", "passive", 6.07, None],
+                ["power_mw", "passive", None, 9.74]],
+    "knobs": ["tca_gm", "tca_bias_current", "load_resistance",
+              "feedback_resistance", "degeneration_resistance",
+              "quad_switch_width"],
+    "population": 8, "iterations": 3, "num_samples": 16, "seed": 20150901,
+    "search_span": 0.12, "shrink": 0.5, "strategy": "shrinking_span",
+}
+DEFAULT_DESCRIBE = {
+    "name": "yield_opt",
+    "artefact": ("Table I targets under process spread "
+                 "\u2014 yield optimisation"),
+    "summary": ("Search the design knobs for maximum Monte-Carlo yield "
+                "against configurable Table I spec targets"),
+    "result_schema": "YieldOptResult",
+    "default_grid": DEFAULT_GRID,
+    "accepts_workers": True,
+    "accepts_cache": True,
+    "batchable": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +264,17 @@ class TestSurfaces:
         assert payload["result"] == response.result_payload
         assert response.result.best_fingerprint() == \
             tiny_result.best_fingerprint()
+
+
+class TestDefaultRunPins:
+    def test_default_result_and_request_key(self):
+        response = MixerService(response_cache=False).submit(
+            SpecRequest("yield_opt"))
+        result = json.dumps(response.to_dict()["result"], sort_keys=True)
+        assert hashlib.sha256(result.encode("utf-8")).hexdigest() == \
+            DEFAULT_RESULT_SHA256
+        assert response.request_key == DEFAULT_REQUEST_KEY
+
+    def test_registry_listing(self, registry):
+        assert json.dumps(registry.get("yield_opt").describe()) == \
+            json.dumps(DEFAULT_DESCRIBE)

@@ -13,13 +13,14 @@ The load-bearing guarantees, straight from the acceptance bar:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import urllib.request
 
 import numpy as np
 import pytest
 
-from repro.api import SpecRequest, decode, encode
+from repro.api import MixerService, SpecRequest, decode, encode
 from repro.cli import main as cli_main
 from repro.core.config import MixerDesign, MixerMode
 from repro.optimize import (
@@ -46,6 +47,45 @@ from api_test_helpers import ACTIVE_TARGETS
 #: scale as test_optimize.TINY: 3 candidates x 2 generations x 4 corners).
 TINY = dict(population=3, iterations=2, num_samples=4,
             targets=ACTIVE_TARGETS)
+
+#: Pins of the default ``yield_pareto`` request: the SHA-256 of its result
+#: payload (``json.dumps(..., sort_keys=True)``), its request key, and its
+#: registry listing (the ``GET /v1/experiments`` entry, key order
+#: included).  Any change to the search loop or to how its grid is declared
+#: must keep all three byte-identical.
+DEFAULT_RESULT_SHA256 = \
+    "84bf07c4abae3c4202fe796c66c2f0fb6de835d2b4c21c63beaec8103bb74c1d"
+DEFAULT_REQUEST_KEY = \
+    "d3407ab2b505460dac39cc65cb8a6696ab98b1b1fee08ea78461864f4430ecf8"
+DEFAULT_GRID = {
+    "targets": [["conversion_gain_db", "active", 28.9, None],
+                ["noise_figure_db", "active", None, 7.85],
+                ["iip3_dbm", "active", -12.4, None],
+                ["power_mw", "active", None, 9.86],
+                ["conversion_gain_db", "passive", 25.2, None],
+                ["noise_figure_db", "passive", None, 10.45],
+                ["iip3_dbm", "passive", 6.07, None],
+                ["power_mw", "passive", None, 9.74]],
+    "objectives": [["yield", None, "max"], ["power_mw", "active", "min"],
+                   ["conversion_gain_db", "active", "max"]],
+    "knobs": ["tca_gm", "tca_bias_current", "load_resistance",
+              "feedback_resistance", "degeneration_resistance",
+              "quad_switch_width"],
+    "population": 8, "iterations": 3, "num_samples": 16, "seed": 20150901,
+    "search_span": 0.12, "shrink": 0.5, "strategy": "shrinking_span",
+}
+DEFAULT_DESCRIBE = {
+    "name": "yield_pareto",
+    "artefact": ("Gain/power/yield trade-off under process spread "
+                 "\u2014 Pareto front"),
+    "summary": ("Maintain a non-dominated front over configurable objectives "
+                "(Monte-Carlo yield, power, gain, any targetable spec metric)"),
+    "result_schema": "ParetoOptResult",
+    "default_grid": DEFAULT_GRID,
+    "accepts_workers": True,
+    "accepts_cache": True,
+    "batchable": False,
+}
 
 
 @pytest.fixture(scope="module")
@@ -251,12 +291,6 @@ class TestSearchBehaviour:
         assert [objective.key for objective in result.objectives] == \
             ["yield", "active:noise_figure_db"]
 
-    def test_run_yield_opt_delegates_with_objectives(self, tiny_front):
-        delegated = run_yield_opt(objectives=[objective.to_wire()
-                                              for objective in
-                                              tiny_front.objectives], **TINY)
-        assert encode(delegated) == encode(tiny_front)
-
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             run_pareto_opt(strategy="anneal", **TINY)
@@ -341,3 +375,17 @@ class TestSurfaces:
         served = decode(payload["result"])
         assert served.front_fingerprints() == \
             tiny_front.front_fingerprints()
+
+
+class TestDefaultRunPins:
+    def test_default_result_and_request_key(self):
+        response = MixerService(response_cache=False).submit(
+            SpecRequest("yield_pareto"))
+        result = json.dumps(response.to_dict()["result"], sort_keys=True)
+        assert hashlib.sha256(result.encode("utf-8")).hexdigest() == \
+            DEFAULT_RESULT_SHA256
+        assert response.request_key == DEFAULT_REQUEST_KEY
+
+    def test_registry_listing(self, registry):
+        assert json.dumps(registry.get("yield_pareto").describe()) == \
+            json.dumps(DEFAULT_DESCRIBE)

@@ -66,7 +66,7 @@ SQLITE_SCRIPT = textwrap.dedent("""
         service.submit(SpecRequest(name))
     assert "sqlite3" not in sys.modules
     with tempfile.TemporaryDirectory() as directory:
-        service.submit(SpecRequest("table1", cache=directory))
+        MixerService(spec_cache=directory).submit(SpecRequest("table1"))
     assert "sqlite3" in sys.modules
     print("ok")
 """)

@@ -32,6 +32,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve.jobs import JobManager
+from repro.sweep.cache import DATABASE_NAME
 
 from api_test_helpers import (
     EXPERIMENT_NAMES,
@@ -185,6 +186,18 @@ class TestEndpoints:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def test_request_cache_field_is_400(self, base_url, tmp_path):
+        # The engine cache belongs to the server: a client naming a
+        # directory is refused as an unknown field, and nothing is created.
+        target = tmp_path / "client-chosen"
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            post_json(base_url + "/v1/spec",
+                      {"experiment": "fig8", "cache": str(target)})
+        assert excinfo.value.code == 400
+        assert "unknown request fields ['cache']" in \
+            json.loads(excinfo.value.read())["error"]
+        assert not target.exists()
 
     def test_bad_batch_shape_is_400(self, base_url):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -349,6 +362,19 @@ class TestCli:
         payload = json.loads(captured.out)
         assert payload["experiment"] == "power_budget"
         assert "job job-" in captured.err
+
+    def test_spec_cache_flag_refused_with_url(self, base_url, tmp_path,
+                                              capsys):
+        assert cli_main(["run", "power_budget", "--url", base_url,
+                         "--spec-cache", str(tmp_path)]) == 2
+        assert "--spec-cache is a local-run option" in \
+            capsys.readouterr().err
+
+    def test_spec_cache_flag_serves_local_runs(self, tmp_path, capsys):
+        assert cli_main(["run", "fig8", "--grid", "points=16",
+                         "--spec-cache", str(tmp_path)]) == 0
+        assert "computed" in capsys.readouterr().out
+        assert (tmp_path / DATABASE_NAME).exists()
 
     def test_job_flag_requires_url(self, capsys):
         assert cli_main(["run", "power_budget", "--job"]) == 2
