@@ -62,11 +62,6 @@ def register_payload_type(*types: type) -> None:
         _PAYLOAD_TYPES[cls.__name__] = cls
 
 
-def registered_payload_types() -> dict[str, type]:
-    """Snapshot of the registered payload types (name -> class)."""
-    return dict(_PAYLOAD_TYPES)
-
-
 def _tag_nonfinite(nested: Any) -> Any:
     """Replace non-finite floats in nested ``tolist()`` output with tags."""
     if isinstance(nested, list):

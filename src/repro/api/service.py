@@ -4,10 +4,15 @@
 :class:`~repro.api.request.SpecRequest` objects against the experiment
 registry, answers repeated requests from a two-tier response cache without
 touching the engine (zero sizing solves — the acceptance bar from the
-sweep-cache work, lifted to whole requests), dispatches misses to the
-``run_*`` drivers, and fans batch requests over the same design axis out
-through the sweep engine's :class:`~repro.sweep.parallel.ParallelSweepRunner`
-when the experiment supports it.
+sweep-cache work, lifted to whole requests), and runs the misses through
+the registered drivers.  :meth:`~MixerService.submit` and
+:meth:`~MixerService.submit_batch` share one request path — a solo request
+is a batch of one — which plans each request once, makes one cache lookup
+per request, and runs each same-(experiment, grid, ``workers``) group of
+misses once: one ``batch_runner`` call over the group's distinct designs
+(fanned out through the sweep engine's
+:class:`~repro.sweep.parallel.ParallelSweepRunner`), or one ``runner`` call
+per distinct design for a point experiment.
 
 The in-process, HTTP (:mod:`repro.serve`) and CLI (:mod:`repro.cli`)
 surfaces all run through this one class, so a response is bit-identical no
@@ -19,8 +24,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 from repro.api.registry import (
     ExperimentRegistry,
@@ -43,33 +48,15 @@ from repro.api.response_cache import DEFAULT_LRU_SIZE, ResponseCache
 class RequestPlan:
     """One validated request's dispatch identity.
 
-    Everything :meth:`MixerService.plan_groups` needs to decide what a
-    request *is* without executing it: the registry entry, the resolved grid (defaults merged
-    with overrides — exactly what the runner will be called with), the
-    response-cache ``key``, and the grouping ``token`` two requests must
-    share to run in one engine group.
+    The registry entry, the resolved grid (defaults merged with overrides —
+    exactly what the runner will be called with) and the response-cache
+    ``key``: everything the service needs to answer a request, derived
+    without executing it.
     """
 
     spec: ExperimentSpec
     resolved: dict[str, Any]
     key: str
-    token: tuple
-
-
-@dataclass
-class PlannedGroup:
-    """One same-(experiment, grid, options) group of uncached requests.
-
-    ``members`` holds ``(index, request, key)`` in submission order, where
-    ``index`` is the request's position in the original batch and ``key``
-    its response-cache key.  ``resolved`` is the grid shared by every
-    member (validated once, at planning time — :meth:`execute_group` never
-    re-validates).
-    """
-
-    spec: ExperimentSpec
-    resolved: dict[str, Any]
-    members: list[tuple[int, SpecRequest, str]] = field(default_factory=list)
 
 
 class MixerService:
@@ -161,166 +148,93 @@ class MixerService:
         response.elapsed_s = 0.0
         return response
 
-    def submit(self, request: SpecRequest) -> SpecResponse:
-        """Answer one request (from cache when possible, computed otherwise)."""
-        spec = self._spec_for(request.experiment)
-        resolved = request.validate(spec)
-        key = request.request_key(spec, resolved_grid=resolved)
-        cached = self._cached_response(key)
-        if cached is not None:
-            return cached
-        started = time.perf_counter()
-        result = spec.runner(request.design, **resolved,
-                             **self._run_options(request, spec))
-        elapsed = time.perf_counter() - started
-        response = build_result_response(request, spec, result,
-                                         source=SOURCE_COMPUTED,
-                                         elapsed_s=elapsed, request_key=key)
-        self._store(response)
-        return response
-
-    def _group_token(self, request: SpecRequest,
-                     resolved: dict[str, Any]) -> tuple:
-        """Grouping identity: requests with equal tokens may share a run.
-
-        The execution option is part of the token so a member's explicit
-        ``workers=`` is honoured, never silently dropped in favour of
-        another member's.
-        """
-        return (request.experiment, json.dumps(resolved, sort_keys=True),
-                request.workers)
-
     def plan_request(self, request: SpecRequest) -> RequestPlan:
         """Validate one request and derive its dispatch identity.
 
-        This is the read-only half of :meth:`submit`: registry lookup, grid
-        validation, cache key and group token, with no engine work and no
-        cache reads.  Raises :class:`RequestValidationError` exactly as
-        :meth:`submit` would.
+        Registry lookup, grid validation and cache key, with no engine work
+        and no cache reads.  Raises :class:`RequestValidationError` exactly
+        as :meth:`submit` would.
         """
         spec = self._spec_for(request.experiment)
         resolved = request.validate(spec)
         key = request.request_key(spec, resolved_grid=resolved)
-        return RequestPlan(spec=spec, resolved=resolved, key=key,
-                           token=self._group_token(request, resolved))
+        return RequestPlan(spec=spec, resolved=resolved, key=key)
 
-    def plan_groups(self, requests: Sequence[SpecRequest],
-                    ) -> tuple[list[SpecResponse | None], list[PlannedGroup]]:
-        """Split a batch into cached responses and executable groups.
+    def submit(self, request: SpecRequest) -> SpecResponse:
+        """Answer one request: a batch of one (see :meth:`submit_batch`)."""
+        return self._answer([request])[0]
 
-        Returns ``(responses, groups)``: ``responses`` is positionally
-        aligned with ``requests``, already holding every cache hit (the
-        rest ``None``); ``groups`` holds one :class:`PlannedGroup` per
-        distinct ``(experiment, resolved grid, options)`` token covering
-        every miss.  :meth:`execute_group` fills the holes.
+    def submit_batch(self, requests: Iterable[SpecRequest]
+                     ) -> list[SpecResponse]:
+        """Answer many requests, running each shared-grid group once.
+
+        Every request is planned once and looked up in the response cache
+        once.  The misses are grouped by (experiment, resolved grid,
+        ``workers``), and each group runs once: as **one design axis**
+        through the experiment's ``batch_runner`` (sharded across processes
+        by :class:`~repro.sweep.parallel.ParallelSweepRunner` when the
+        group's ``workers`` asks for it), or, for a point experiment, as one
+        ``runner`` call per distinct design.  Duplicate designs in a group
+        share that run.  Per-design results are bit-identical to solo
+        :meth:`submit` calls, so cached and computed members of a batch can
+        mix freely.  Response order matches request order.
         """
+        return self._answer(list(requests))
+
+    def _answer(self, requests: list[SpecRequest]) -> list[SpecResponse]:
+        """The one request path behind :meth:`submit` and :meth:`submit_batch`."""
         responses: list[SpecResponse | None] = [None] * len(requests)
-        groups: dict[tuple, PlannedGroup] = {}
+        groups: dict[tuple, list[tuple[int, RequestPlan]]] = {}
         for index, request in enumerate(requests):
             plan = self.plan_request(request)
             cached = self._cached_response(plan.key)
             if cached is not None:
                 responses[index] = cached
                 continue
-            group = groups.get(plan.token)
-            if group is None:
-                group = groups[plan.token] = PlannedGroup(
-                    spec=plan.spec, resolved=plan.resolved)
-            group.members.append((index, request, plan.key))
-        return responses, list(groups.values())
+            group = (request.experiment,
+                     json.dumps(plan.resolved, sort_keys=True),
+                     request.workers)
+            groups.setdefault(group, []).append((index, plan))
+        # Each slot is now a cache hit or a member of exactly one group, and
+        # _run_group fills every member's slot or raises: the /v1/batch
+        # contract is positional, so no list may come back shortened.
+        for members in groups.values():
+            self._run_group(requests, members, responses)
+        return responses  # type: ignore[return-value]
 
-    def execute_group(self, group: PlannedGroup,
-                      workers: int | None = None,
-                      ) -> list[tuple[int, SpecResponse]]:
-        """Answer one planned group, as one engine call where possible.
+    def _run_group(self, requests: list[SpecRequest],
+                   members: list[tuple[int, RequestPlan]],
+                   responses: list[SpecResponse | None]) -> None:
+        """Run one same-(experiment, grid, workers) group and fill its slots.
 
-        When the experiment registers a ``batch_runner`` and the group
-        spans at least two distinct designs, the whole group runs as one
-        design axis; otherwise members fall back to individual
-        :meth:`submit` calls (which still collapse repeats through the
-        response cache).  Either way each member's response is
-        bit-identical to a solo :meth:`submit`.
+        Members share their resolved grid and ``workers`` by construction,
+        so the lead request speaks for the group's run options.
         """
-        distinct = {request.design.fingerprint()
-                    for _, request, _ in group.members}
-        if group.spec.batch_runner is None or len(distinct) < 2:
-            return [(index, self.submit(request))
-                    for index, request, _ in group.members]
-        return self._run_group(group, workers)
-
-    def submit_batch(self, requests: Sequence[SpecRequest] | Iterable[SpecRequest],
-                     workers: int | None = None) -> list[SpecResponse]:
-        """Answer many requests, fanning shared-grid groups over the engine.
-
-        Requests naming the same experiment with the same resolved grid form
-        one group; when the experiment registers a ``batch_runner``, the
-        whole group's designs run as **one design axis** through the sweep
-        engine — sharded across processes by
-        :class:`~repro.sweep.parallel.ParallelSweepRunner` when ``workers``
-        (or the per-request/service default) asks for it — instead of N
-        sequential runs.  Per-design results are bit-identical to individual
-        :meth:`submit` calls either way, so cached and computed members of a
-        batch can mix freely.  Response order matches request order.
-        """
-        batch = list(requests)
-        responses, groups = self.plan_groups(batch)
-        for group in groups:
-            for index, response in self.execute_group(group, workers=workers):
-                responses[index] = response
-        # Every request must have produced a response at its own index: a
-        # missing member silently shortening the list would misalign the
-        # request/response pairing for every later member (the /v1/batch
-        # contract is positional), so fail the whole batch loudly instead.
-        missing = [index for index, response in enumerate(responses)
-                   if response is None]
-        if missing:
-            raise RuntimeError(
-                f"batch produced no response for request(s) at index(es) "
-                f"{missing} of {len(batch)}; refusing to return a "
-                f"misaligned response list")
-        assert len(responses) == len(batch)
-        return list(responses)
-
-    def _run_group(self, group: PlannedGroup,
-                   workers: int | None) -> list[tuple[int, SpecResponse]]:
-        """One batch_runner call for a same-(experiment, grid, options) group.
-
-        Members share their execution options and resolved grid by
-        construction (both derive from the group token at planning time, so
-        nothing is re-validated here); the lead request speaks for the
-        group's options, and the batch-level ``workers`` argument, when
-        given, overrides.
-        """
-        spec = group.spec
-        lead = group.members[0][1]
-        options = self._run_options(lead, spec)
-        group_workers = workers if workers is not None \
-            else options.get("workers")
-        if group_workers is not None:
-            options["workers"] = group_workers
+        lead_index, lead = members[0]
+        spec, resolved = lead.spec, lead.resolved
+        options = self._run_options(requests[lead_index], spec)
         designs = {}
-        for _, request, _ in group.members:
-            designs.setdefault(request.design.fingerprint(), request.design)
+        for index, _ in members:
+            design = requests[index].design
+            designs.setdefault(design.fingerprint(), design)
         started = time.perf_counter()
-        results = spec.batch_runner(designs, **group.resolved, **options)
+        if spec.batch_runner is not None:
+            results = spec.batch_runner(designs, **resolved, **options)
+        else:
+            results = {fingerprint: spec.runner(design, **resolved, **options)
+                       for fingerprint, design in designs.items()}
         elapsed = time.perf_counter() - started
-        out: list[tuple[int, SpecResponse]] = []
-        for index, request, key in group.members:
+        for index, plan in members:
+            request = requests[index]
             fingerprint = request.design.fingerprint()
-            result = results.get(fingerprint) \
-                if hasattr(results, "get") else results[fingerprint]
+            result = results.get(fingerprint)
             if result is None:
                 raise RuntimeError(
                     f"batch runner for {spec.name!r} returned no result for "
                     f"design {fingerprint[:12]} (request #{index})")
-            response = build_result_response(request, spec, result,
-                                             source=SOURCE_COMPUTED,
-                                             elapsed_s=elapsed,
-                                             request_key=key)
-            self._store(response)
-            out.append((index, response))
-        return out
-
-    def _store(self, response: SpecResponse) -> None:
-        if self.response_cache is not None:
-            self.response_cache.store(response.request_key, response.to_dict())
+            response = build_result_response(
+                request, spec, result, source=SOURCE_COMPUTED,
+                elapsed_s=elapsed, request_key=plan.key)
+            if self.response_cache is not None:
+                self.response_cache.store(plan.key, response.to_dict())
+            responses[index] = response

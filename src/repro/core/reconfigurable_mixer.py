@@ -41,7 +41,6 @@ from repro.core.config import (
 )
 from repro.core.load import TransmissionGateLoad
 from repro.core.power import PowerBudget
-from repro.core.switches import PmosSwitch
 from repro.core.switching_quad import LoDrive, SwitchingQuad
 from repro.core.tia import TransimpedanceAmplifier
 from repro.core.transconductance import (
@@ -201,13 +200,6 @@ class ReconfigurableMixer:
         return self._mode.vlogic
 
     # -- building blocks --------------------------------------------------------
-
-    @cached_property
-    def degeneration_switch(self) -> PmosSwitch:
-        """Sw1-2: the PMOS switch sized to provide the degeneration resistance."""
-        return PmosSwitch.sized_for_degeneration(
-            self.design.degeneration_resistance,
-            technology=self.design.technology)
 
     @cached_property
     def _tca_active(self) -> TransconductanceAmplifier:
@@ -382,10 +374,6 @@ solve_widths` element seeds both TCA configurations with one shared
         return intermediates.band_low_hz, intermediates.band_high_hz
 
     # -- noise figure -------------------------------------------------------------------
-
-    def white_noise_figure_db(self) -> float:
-        """DSB noise figure well above the flicker corner (dB); memoized."""
-        return self.spec_intermediates().white_nf_db
 
     def flicker_corner_hz(self) -> float:
         """1/f corner frequency of the current mode (Hz)."""
@@ -642,11 +630,6 @@ solve_widths` element seeds both TCA configurations with one shared
             return out[..., original.shape[-1]:]
 
         return device
-
-    def downconvert(self, waveform: np.ndarray, sample_rate: float,
-                    lo_frequency: float | None = None) -> np.ndarray:
-        """Down-convert a sampled RF waveform with the current configuration."""
-        return self.waveform_device(sample_rate, lo_frequency)(waveform)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReconfigurableMixer(mode={self._mode.value})"

@@ -296,11 +296,6 @@ class TransconductanceAmplifier:
         """
         self._bias_memo["bias_point"] = point
 
-    @property
-    def bias_voltage(self) -> float:
-        """Gate bias voltage of the Gm devices (V)."""
-        return self.bias_point.vgs
-
     # -- small-signal quantities ----------------------------------------------
 
     @property

@@ -25,10 +25,6 @@ class NoiseSource:
         """One-sided voltage power spectral density at ``frequency`` (V^2/Hz)."""
         raise NotImplementedError
 
-    def voltage_density(self, frequency: float | np.ndarray) -> float | np.ndarray:
-        """Voltage spectral density (V/sqrt(Hz))."""
-        return np.sqrt(self.voltage_psd(frequency))
-
     def integrated_rms(self, f_low: float, f_high: float, points: int = 2001) -> float:
         """RMS noise voltage integrated between two frequencies (V)."""
         if f_low <= 0 or f_high <= f_low:

@@ -114,10 +114,6 @@ class BehavioralBlock:
             out = limit * np.tanh(out / limit)
         return out
 
-    def small_signal_output(self, input_dbm: float) -> float:
-        """Output power in dBm for a small input tone, ignoring compression."""
-        return input_dbm + self.gain_db
-
     # -- derived metrics -------------------------------------------------------
 
     @property

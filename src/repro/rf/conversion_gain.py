@@ -109,21 +109,3 @@ def measure_conversion_gain(device: WaveformTransfer, rf_frequency: float,
     spectrum = Spectrum(output, sample_rate)
     output_dbm = spectrum.power_dbm_at(if_frequency)
     return output_dbm - input_power_dbm
-
-
-def image_rejection_ratio_db(device: WaveformTransfer, rf_frequency: float,
-                             image_frequency: float, if_frequency: float,
-                             input_power_dbm: float, sample_rate: float,
-                             num_samples: int) -> float:
-    """Ratio of wanted-band to image-band conversion gain (dB).
-
-    A direct-conversion/low-IF receiver cares about how much the image
-    frequency is suppressed; for the single-path behavioural models here the
-    value is near 0 dB (no complex image rejection), but the measurement is
-    provided for front-end experiments that add polyphase filtering.
-    """
-    wanted = measure_conversion_gain(device, rf_frequency, if_frequency,
-                                     input_power_dbm, sample_rate, num_samples)
-    image = measure_conversion_gain(device, image_frequency, if_frequency,
-                                    input_power_dbm, sample_rate, num_samples)
-    return wanted - image

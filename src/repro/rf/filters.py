@@ -65,21 +65,12 @@ class FirstOrderLowPass:
         result = 20.0 * np.log10(mag)
         return result if np.ndim(frequency) else float(result)
 
-    def phase_degrees(self, frequency: float | np.ndarray) -> float | np.ndarray:
-        """Phase response in degrees."""
-        phase = np.degrees(np.angle(self.response(frequency)))
-        return phase if np.ndim(frequency) else float(phase)
-
     def group_delay(self, frequency: float | np.ndarray) -> float | np.ndarray:
         """Group delay in seconds (analytic expression for one pole)."""
         f = np.asarray(frequency, dtype=float)
         tau = 1.0 / (2.0 * math.pi * self.pole_frequency)
         delay = tau / (1.0 + (f / self.pole_frequency) ** 2)
         return delay if np.ndim(frequency) else float(delay)
-
-    def attenuation_at(self, frequency: float) -> float:
-        """Attenuation relative to DC, in dB (non-negative)."""
-        return float(20.0 * math.log10(self.dc_gain) - self.magnitude_db(frequency))
 
     def _bilinear_coefficients(self, sample_rate: float
                                ) -> tuple[list[float], list[float]]:

@@ -115,18 +115,3 @@ def dsb_from_ssb(ssb_nf_db: float) -> float:
 def ssb_from_dsb(dsb_nf_db: float) -> float:
     """Single side-band NF from double side-band NF (3 dB higher)."""
     return dsb_nf_db + 3.0
-
-
-def input_referred_noise_voltage(nf_db: float, source_resistance: float = 50.0,
-                                 temperature: float = 290.0) -> float:
-    """Input-referred noise voltage density implied by a spot NF (V/sqrt(Hz)).
-
-    The total input-referred density is ``sqrt(F) * v_n(source)``; the added
-    part (excluding the source's own thermal noise) is
-    ``sqrt(F - 1) * v_n(source)``.  This helper returns the *total*.
-    """
-    from repro.units import BOLTZMANN
-
-    factor = float(power_ratio_from_db(nf_db))
-    source_psd = 4.0 * BOLTZMANN * temperature * source_resistance
-    return math.sqrt(factor * source_psd)

@@ -49,11 +49,6 @@ class TwoToneResult:
         return self.fundamental_output_dbm - self.input_power_dbm
 
     @property
-    def im3_suppression_db(self) -> float:
-        """Fundamental-to-IM3 ratio at the output (dB)."""
-        return self.fundamental_output_dbm - self.im3_output_dbm
-
-    @property
     def iip3_dbm(self) -> float:
         """Single-point IIP3 estimate from the 3:1 slope relationship."""
         return iip3_from_powers(self.input_power_dbm,

@@ -26,10 +26,6 @@ from repro.sweep.result import SweepResult
 class WaveformResult(SweepResult):
     """Labelled waveform measures over design x mode x input power."""
 
-    def input_powers(self) -> np.ndarray:
-        """The swept input powers (dBm), the plan's power axis."""
-        return self.axis(POWER_AXIS).as_array()
-
     def power_curve(self, measure: str, **selectors) -> tuple[np.ndarray,
                                                               np.ndarray]:
         """(input powers, measure values) with the other axes selected.

@@ -300,6 +300,25 @@ class TestResponseCache:
         assert not first.cached and not again.cached
 
 
+def _fig8_spy_registry(calls: list) -> ExperimentRegistry:
+    """fig8 with its batch runner wrapped to record each call's size."""
+    spec = GLOBAL_REGISTRY.get("fig8")
+
+    def sweep_fig8_spy(designs, **kwargs):
+        calls.append(len(designs))
+        return spec.batch_runner(designs, **kwargs)
+
+    registry = ExperimentRegistry()
+    registry.register(replace(spec, batch_runner=sweep_fig8_spy))
+    return registry
+
+
+def _lookups(service: MixerService) -> dict:
+    stats = service.response_cache.stats()
+    return {"hits": stats["memory_hits"] + stats["disk_hits"],
+            "misses": stats["misses"], "stores": stats["stores"]}
+
+
 class TestBatchSubmission:
     @pytest.fixture(scope="class")
     def population(self):
@@ -417,6 +436,47 @@ class TestBatchSubmission:
         responses = MixerService().submit_batch(requests)
         assert len(responses) == 2
         assert all(r.result_schema == "PowerBudgetResult" for r in responses)
+
+    def test_solo_submit_is_a_batch_of_one(self):
+        calls: list = []
+        service = MixerService(registry=_fig8_spy_registry(calls))
+        response = service.submit(small_request("fig8"))
+        assert _lookups(service) == {"hits": 0, "misses": 1, "stores": 1}
+        assert calls == [1]
+        assert response.source == "computed"
+
+    def test_batch_of_one_point_request_looks_up_once(self):
+        service = MixerService()
+        service.submit_batch([small_request("power_budget")])
+        assert _lookups(service) == {"hits": 0, "misses": 1, "stores": 1}
+
+    @pytest.mark.parametrize("response_cache", [False, None])
+    def test_identical_members_share_one_engine_run(self, response_cache):
+        calls: list = []
+        service = MixerService(registry=_fig8_spy_registry(calls),
+                               response_cache=response_cache)
+        responses = service.submit_batch([small_request("fig8")] * 2)
+        assert calls == [1]
+        assert [r.source for r in responses] == ["computed", "computed"]
+        assert responses[0].result_payload == responses[1].result_payload
+        if response_cache is None:
+            lookups = _lookups(service)
+            assert (lookups["hits"], lookups["misses"]) == (0, 2)
+
+    def test_mixed_batch_counts_one_hit_per_warmed_member(self, population):
+        calls: list = []
+        service = MixerService(registry=_fig8_spy_registry(calls))
+        for design in (population[0], population[2]):
+            service.submit(small_request("fig8", design))
+        calls.clear()
+        before = _lookups(service)
+        responses = service.submit_batch(
+            [small_request("fig8", design) for design in population])
+        after = _lookups(service)
+        assert {name: after[name] - before[name] for name in after} == \
+            {"hits": 2, "misses": 1, "stores": 1}
+        assert calls == [1]
+        assert [r.cached for r in responses] == [True, False, True]
 
     def test_sweep_fig8_batch_is_bit_identical_to_solo_runs(self, population):
         designs = {f"d{i}": design for i, design in enumerate(population)}

@@ -18,6 +18,7 @@ import pytest
 
 from repro.api import MixerService, SpecRequest, progress_scope
 from repro.api.progress import current_callback, report_progress
+from repro.api.registry import ExperimentRegistry, ExperimentSpec
 from repro.api.request import RequestValidationError
 from repro.api.response_cache import ResponseCache
 from repro.core.config import MixerDesign
@@ -28,7 +29,7 @@ from repro.serve.jobs import (
     JobQueueFullError,
 )
 
-from api_test_helpers import CALLS, echo_registry, open_gate
+from api_test_helpers import CALLS, EchoResult, echo_registry, open_gate
 
 #: Generous bound for job completion in tests; real runs take milliseconds.
 WAIT_S = 30.0
@@ -426,25 +427,52 @@ class TestScheduling:
         assert counts == sorted(counts)  # cumulative, ending at +Inf
 
 
-class TestPlanning:
-    def test_solo_experiment_plans_carry_the_group_token(self):
-        # ``echo`` has no batch runner; its plan still carries the token
-        # that ``plan_groups`` groups by.
-        service = MixerService(registry=echo_registry(),
-                               response_cache=False)
-        designs = [MixerDesign(), MixerDesign().with_gain_setting(1.05)]
-        same_grid = [SpecRequest(experiment="echo", design=design,
-                                 grid={"value": 2.0})
-                     for design in designs]
-        other_grid = SpecRequest(experiment="echo", grid={"value": 3.0})
-        tokens = [service.plan_request(request).token
-                  for request in [*same_grid, other_grid]]
-        assert tokens[0] is not None
-        assert tokens[0] == tokens[1] != tokens[2]
-        responses, groups = service.plan_groups([*same_grid, other_grid])
-        assert responses == [None, None, None]
-        assert [[index for index, _, _ in group.members]
-                for group in groups] == [[0, 1], [2]]
+class TestBatchGrouping:
+    def test_batch_runs_each_group_once_in_request_order(self):
+        # Misses group by (experiment, resolved grid, workers).  A group
+        # runs once: one batch-runner call over its distinct designs, or
+        # one runner call per distinct design for a point experiment.
+        calls: list[tuple] = []
+
+        def point(design, *, value: float = 1.0, workers=None):
+            calls.append(("point", value, workers, 1))
+            return EchoResult(label=design.fingerprint()[:12], value=value)
+
+        def batch(designs, *, value: float = 1.0, workers=None):
+            calls.append(("batch", value, workers, len(designs)))
+            return {fingerprint: EchoResult(label=fingerprint[:12],
+                                            value=value)
+                    for fingerprint in designs}
+
+        registry = ExperimentRegistry()
+        for name, runner, batch_runner in (("point", point, None),
+                                           ("batch", point, batch)):
+            registry.register(ExperimentSpec(
+                name=name, artefact="test fixture", summary="spy",
+                runner=runner, result_type=EchoResult,
+                report=lambda result: "", default_grid={"value": 1.0},
+                accepts_cache=False, batch_runner=batch_runner))
+        service = MixerService(registry=registry, response_cache=False)
+        base, other = MixerDesign(), MixerDesign().with_gain_setting(1.05)
+        members = [(base, 2.0, None), (other, 3.0, None), (other, 2.0, None),
+                   (base, 2.0, None), (base, 2.0, 1)]
+        for experiment, expected in (
+                ("point", [("point", 2.0, None, 1), ("point", 2.0, None, 1),
+                           ("point", 3.0, None, 1), ("point", 2.0, 1, 1)]),
+                ("batch", [("batch", 2.0, None, 2), ("batch", 3.0, None, 1),
+                           ("batch", 2.0, 1, 1)])):
+            requests = [SpecRequest(experiment=experiment, design=design,
+                                    grid={"value": value}, workers=workers)
+                        for design, value, workers in members]
+            calls.clear()
+            responses = service.submit_batch(requests)
+            assert calls == expected
+            assert [(response.design_fingerprint, response.result.value)
+                    for response in responses] == \
+                [(design.fingerprint(), value)
+                 for design, value, _ in members]
+            assert {response.source for response in responses} == \
+                {"computed"}
 
 
 class TestWaitTimeout:

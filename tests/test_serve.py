@@ -249,8 +249,8 @@ class _RecordingService(MixerService):
         self.recorded.append(response.to_dict())
         return response
 
-    def submit_batch(self, requests, workers=None):
-        responses = super().submit_batch(requests, workers=workers)
+    def submit_batch(self, requests):
+        responses = super().submit_batch(requests)
         self.recorded.append(
             {"responses": [response.to_dict() for response in responses]})
         return responses

@@ -17,7 +17,9 @@ request shapes:
   must serve bit-identically);
 * ``POST /v1/batch`` with a three-design population vs per-design
   :func:`repro.experiments.run_table1` calls (the batch fan-out through the
-  sweep engine must not change a single double);
+  sweep engine must not change a single double), making exactly one
+  response-cache lookup per request (the ``/v1/metrics`` miss delta equals
+  the computed members, misses plus hits the requests posted);
 * ``POST /v1/batch`` with ``fig10`` and ``iip2`` requests over the same
   population vs per-design :func:`run_fig10` / :func:`run_iip2` calls —
   the waveform benches fan out through the batched waveform engine and
@@ -265,6 +267,12 @@ def check_waveform_batch(base_url: str) -> int:
     return 0
 
 
+def _cache_lookups(base_url: str) -> tuple[int, int]:
+    """``(misses, hits)`` of the server's response cache so far."""
+    cache = get_json(base_url + "/v1/metrics")["response_cache"]
+    return cache["misses"], cache["memory_hits"] + cache["disk_hits"]
+
+
 def check_batch_population(base_url: str) -> int:
     from repro.api import SpecRequest, encode
     from repro.core.config import MixerDesign
@@ -280,11 +288,22 @@ def check_batch_population(base_url: str) -> int:
     ]
     requests = [SpecRequest(experiment="table1", design=design).to_dict()
                 for design in population]
+    before = _cache_lookups(base_url)
     served = post_json(base_url + "/v1/batch", {"requests": requests})
+    after = _cache_lookups(base_url)
     responses = served.get("responses", [])
     if len(responses) != len(population):
         print(f"FAIL: batch returned {len(responses)} responses for "
               f"{len(population)} requests", file=sys.stderr)
+        return 1
+    # One response-cache lookup per request: every miss is a computed
+    # member, and misses plus hits add up to the requests posted.
+    misses, hits = (now - then for now, then in zip(after, before))
+    computed = sum(response["source"] == "computed" for response in responses)
+    if (misses, misses + hits) != (computed, len(requests)):
+        print(f"FAIL: batch of {len(requests)} requests ({computed} "
+              f"computed) counted {misses} response-cache miss(es) and "
+              f"{hits} hit(s)", file=sys.stderr)
         return 1
     for design, response in zip(population, responses):
         if response["result"] != encode(run_table1(design)):
@@ -292,7 +311,8 @@ def check_batch_population(base_url: str) -> int:
                   f"for design {design.fingerprint()[:12]}", file=sys.stderr)
             return 1
     print(f"serve smoke OK: /v1/batch over a {len(population)}-design "
-          "population is bit-identical to per-design run_table1()")
+          "population is bit-identical to per-design run_table1() "
+          f"[{misses} cache miss(es), {hits} hit(s)]")
     return 0
 
 
