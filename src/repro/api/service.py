@@ -198,17 +198,21 @@ class MixerService:
         # Each slot is now a cache hit or a member of exactly one group, and
         # _run_group fills every member's slot or raises: the /v1/batch
         # contract is positional, so no list may come back shortened.
+        # Duplicate requests share a key, which is stored once.
+        stored: set[str] = set()
         for members in groups.values():
-            self._run_group(requests, members, responses)
+            self._run_group(requests, members, responses, stored)
         return responses  # type: ignore[return-value]
 
     def _run_group(self, requests: list[SpecRequest],
                    members: list[tuple[int, RequestPlan]],
-                   responses: list[SpecResponse | None]) -> None:
+                   responses: list[SpecResponse | None],
+                   stored: set[str]) -> None:
         """Run one same-(experiment, grid, workers) group and fill its slots.
 
         Members share their resolved grid and ``workers`` by construction,
-        so the lead request speaks for the group's run options.
+        so the lead request speaks for the group's run options.  Each
+        response is stored unless its key is already in ``stored``.
         """
         lead_index, lead = members[0]
         spec, resolved = lead.spec, lead.resolved
@@ -235,6 +239,7 @@ class MixerService:
             response = build_result_response(
                 request, spec, result, source=SOURCE_COMPUTED,
                 elapsed_s=elapsed, request_key=plan.key)
-            if self.response_cache is not None:
+            if self.response_cache is not None and plan.key not in stored:
+                stored.add(plan.key)
                 self.response_cache.store(plan.key, response.to_dict())
             responses[index] = response

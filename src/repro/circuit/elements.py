@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.circuit.mna import MnaSystem, SolutionView
-from repro.devices.mosfet import Mosfet, MosfetOperatingPoint
+from repro.devices.mosfet import Mosfet, MosfetOperatingPoint, polarity_sign
 
 
 class Element:
@@ -324,15 +324,10 @@ class MosfetElement(Element):
         vgs, vds = self._terminal_voltages(view)
         return self.device.operating_point(vgs, vds)
 
-    def _current_sign(self) -> float:
-        """+1 if positive drain current flows drain->source (NMOS), else -1."""
-        from repro.devices.mosfet import MosfetPolarity
-        return 1.0 if self.device.params.polarity is MosfetPolarity.NMOS else -1.0
-
     def _stamp_linearised(self, system: MnaSystem, view: SolutionView) -> None:
         vgs, vds = self._terminal_voltages(view)
         op = self.device.operating_point(vgs, vds)
-        sign = self._current_sign()
+        sign = polarity_sign(self.device.params.polarity)
         gm = op.gm
         gds = op.gds
         # Companion current: the device current minus the linear terms, so the
@@ -356,7 +351,7 @@ class MosfetElement(Element):
                  dc_solution: SolutionView) -> None:
         vgs, vds = self._terminal_voltages(dc_solution)
         op = self.device.operating_point(vgs, vds)
-        sign = self._current_sign()
+        sign = polarity_sign(self.device.params.polarity)
         system.add_conductance(self.drain, self.source, op.gds)
         system.add_vccs(self.drain, self.source, self.gate, self.source,
                         sign * op.gm)

@@ -46,10 +46,6 @@ class TwoPort:
         """Input impedance with the output port terminated in ``load``."""
         return self.z11 - (self.z12 * self.z21) / (self.z22 + load)
 
-    def voltage_gain(self, load: complex = REFERENCE_IMPEDANCE) -> np.ndarray:
-        """Voltage gain v2/v1 with the output terminated in ``load``."""
-        return (self.z21 * load) / ((self.z22 + load) * self.z11 - self.z12 * self.z21)
-
 
 def impedance_at_port(circuit: Circuit, node_pos: str, node_neg: str,
                       frequencies: np.ndarray,

@@ -50,7 +50,7 @@ from repro.core.transconductance import (
     solve_gm_block,
     solve_widths,
 )
-from repro.devices.mosfet import Mosfet
+from repro.devices.mosfet import Mosfet, squared
 from repro.rf.conversion_gain import SWITCHING_FACTOR
 from repro.rf.filters import FirstOrderLowPass, one_pole_response
 from repro.rf.noise_figure import nf_with_flicker, noise_figure_from_factor
@@ -562,26 +562,26 @@ solve_widths` element seeds both TCA configurations with one shared
             # general-purpose path is pinned well below measurement
             # resolution.
             v = original * band
-            squared = v * v
-            even_order = np.multiply(squared, gm_ratio_a2)
-            cube = np.multiply(squared, v, out=squared)
+            square = v * v
+            even_order = np.multiply(square, gm_ratio_a2)
+            cube = np.multiply(square, v, out=square)
             v += np.multiply(cube, gm_ratio_a3, out=cube)
             if quad_a3 != 0.0:
-                squared = v * v
-                cube = np.multiply(squared, v, out=squared)
+                square = v * v
+                cube = np.multiply(square, v, out=square)
                 v += np.multiply(cube, quad_a3, out=cube)
             v *= _switching(original.shape[-1])
             v += even_order
             v *= gain
             out = if_filter.apply_periodic(v, sample_rate)
             if output_a3 != 0.0:
-                squared = out * out
-                cube = np.multiply(squared, out, out=squared)
+                square = out * out
+                cube = np.multiply(square, out, out=square)
                 out += np.multiply(cube, output_a3, out=cube)
             out /= swing
-            squared = out * out
-            sixth = np.multiply(squared, squared)
-            np.multiply(sixth, squared, out=sixth)
+            square = out * out
+            sixth = np.multiply(square, square)
+            np.multiply(sixth, square, out=sixth)
             sixth += 1.0
             np.sqrt(sixth, out=sixth)
             np.cbrt(sixth, out=sixth)
@@ -683,12 +683,6 @@ def presolve_cells(
     return len(block)
 
 
-def _squared(values: np.ndarray) -> np.ndarray:
-    """``x ** 2`` through libm pow(), as CPython squares a float; numpy's
-    ``x * x`` differs by 1 ulp for ~0.1 % of inputs."""
-    return np.float_power(values, 2.0)
-
-
 def solve_intermediates(mixers: Iterable[ReconfigurableMixer],
                         mode: MixerMode) -> int:
     """Compute ``mode``'s :class:`SpecIntermediates` for a block of mixers.
@@ -743,10 +737,10 @@ def solve_intermediates(mixers: Iterable[ReconfigurableMixer],
     factor += excess
     factor += 2.0 * r_deg / rs
     factor += 4.0 * r_on / rs
-    factor += 2.0 / (_squared(conversion) * r_load * rs)
+    factor += 2.0 / (squared(conversion) * r_load * rs)
     if passive:
-        factor += 2.0 * _squared(ota_noise) / (
-            4.0 * BOLTZMANN * temperature * rs * _squared(gain))
+        factor += 2.0 * squared(ota_noise) / (
+            4.0 * BOLTZMANN * temperature * rs * squared(gain))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # IIP3: the Gm stage, the quad's R_on modulation (passive) and the
@@ -759,7 +753,7 @@ def solve_intermediates(mixers: Iterable[ReconfigurableMixer],
         for term in (gm_stage_iip3, quad_iip3,
                      dbm_from_vpeak(output_intercept / gain)):
             inverse_sum = inverse_sum + np.where(
-                np.isinf(term), 0.0, 1.0 / _squared(vpeak_from_dbm(term)))
+                np.isinf(term), 0.0, 1.0 / squared(vpeak_from_dbm(term)))
         iip3 = np.where(inverse_sum == 0.0, math.inf,
                         dbm_from_vpeak(np.sqrt(1.0 / inverse_sum)))
         # IIP2: the mismatch-scaled residue of the single-ended g2 term.

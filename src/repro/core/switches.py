@@ -47,7 +47,9 @@ class _MosSwitchBase:
         raise NotImplementedError
 
     def _gate_drive(self, control_high: bool) -> float:
-        raise NotImplementedError
+        """Gate-source voltage with the source at mid-rail."""
+        gate = self.technology.vdd if control_high else 0.0
+        return gate - self.technology.mid_rail
 
     def state(self, control_high: bool) -> SwitchState:
         """Switch state for a given logic level on the control input."""
@@ -91,14 +93,6 @@ class NmosSwitch(_MosSwitchBase):
     def _gate_voltage_on(self) -> float:
         return self.technology.vdd
 
-    def _gate_drive(self, control_high: bool) -> float:
-        gate = self.technology.vdd if control_high else 0.0
-        return gate - self.technology.mid_rail
-
-    def conducts_when(self) -> str:
-        """Human-readable control sense."""
-        return "control high"
-
 
 @dataclass(frozen=True)
 class PmosSwitch(_MosSwitchBase):
@@ -113,19 +107,6 @@ class PmosSwitch(_MosSwitchBase):
 
     def _gate_voltage_on(self) -> float:
         return 0.0
-
-    def _gate_drive(self, control_high: bool) -> float:
-        gate = self.technology.vdd if control_high else 0.0
-        # PMOS vgs measured gate-to-source with the source at mid-rail.
-        return gate - self.technology.mid_rail
-
-    def state(self, control_high: bool) -> SwitchState:
-        vgs = self._gate_drive(control_high)
-        return SwitchState.ON if self._device().is_on(vgs) else SwitchState.OFF
-
-    def conducts_when(self) -> str:
-        """Human-readable control sense."""
-        return "control low"
 
     @classmethod
     def sized_for_degeneration(cls, target_resistance: float,

@@ -340,12 +340,12 @@ class TransconductanceAmplifier:
 
         def current(v_in: float) -> float:
             """Drain current for an input excursion v_in with degeneration."""
+            i = self.device.drain_current(vgs0 + v_in, vds)
             if r_s == 0.0:
-                return self.device.drain_current(vgs0 + v_in, vds)
+                return i
             # Solve i = f(vgs0 + v_in - i * r_s) by damped fixed-point
             # iteration; the damping converges the loop for gm * r_s < ~3,
             # which covers every realistic degeneration value.
-            i = self.device.drain_current(vgs0 + v_in, vds)
             for _ in range(_FIXED_POINT_ITERATIONS):
                 i_new = self.device.drain_current(vgs0 + v_in - i * r_s, vds)
                 if abs(i_new - i) < _FIXED_POINT_TOLERANCE:

@@ -15,6 +15,13 @@ design arguments rest on:
   degenerated passive mode;
 * thermal and flicker noise densities — the NF curves of Fig. 9 and the
   flicker corner discussed in section III.
+
+The law is written once, as the module functions below (polarity
+constants and sign, the region test, and id/gm/gds per region).  Each
+takes Python floats or NumPy arrays, so the scalar :class:`Mosfet` and
+the bank :class:`MosfetArray` call the same expressions and compute the
+same doubles by construction.  The only code each path keeps is region
+selection: ``if`` on a float, ``np.where`` on an array.
 """
 
 from __future__ import annotations
@@ -43,6 +50,85 @@ class MosfetRegion(enum.Enum):
     CUTOFF = "cutoff"
     TRIODE = "triode"
     SATURATION = "saturation"
+
+
+# -- the square law, written once ---------------------------------------------
+
+
+def device_constants(technology: Technology, polarity: MosfetPolarity
+                     ) -> tuple[float, float, float, float]:
+    """``(vth, u_cox, lambda, kf)`` of one polarity in ``technology``."""
+    if polarity is MosfetPolarity.NMOS:
+        return (technology.vth_n, technology.u_cox_n, technology.lambda_n,
+                technology.kf_n)
+    return (technology.vth_p, technology.u_cox_p, technology.lambda_p,
+            technology.kf_p)
+
+
+def polarity_sign(polarity: MosfetPolarity) -> float:
+    """+1 for NMOS, -1 for PMOS: the device's own voltage sign."""
+    return 1.0 if polarity is MosfetPolarity.NMOS else -1.0
+
+
+def normalise(polarity: MosfetPolarity, vgs, vds):
+    """Flip signs for PMOS so the square law sees NMOS-like voltages."""
+    if polarity is MosfetPolarity.PMOS:
+        return -vgs, -vds
+    return vgs, vds
+
+
+def squared(x):
+    """``x ** 2`` through libm pow() for floats and arrays alike.
+
+    CPython squares a float with pow(); numpy lowers ``arr ** 2`` to
+    ``x * x``, 1 ulp away for ~0.1 % of inputs, so arrays go through
+    ``np.float_power``, which is pow().
+    """
+    return x ** 2 if isinstance(x, float) else np.float_power(x, 2.0)
+
+
+def region_test(vov, nvds):
+    """``(cutoff, saturated)``; ``saturated`` counts only where not cut off.
+
+    No sub-threshold conduction (the design never relies on it); reverse
+    ``vds`` is off too.
+    """
+    return (vov <= 0.0) | (nvds < 0.0), nvds >= vov
+
+
+def mobility_degradation(theta, vov):
+    """Effective beta drops with overdrive: the transconductor's
+    third-order nonlinearity."""
+    return 1.0 + theta * vov
+
+
+def square_law_terms(beta, theta, lam, vov, nvds):
+    """``(degradation, beta_eff, clm)`` shared by every region's law."""
+    degradation = mobility_degradation(theta, vov)
+    return degradation, beta / degradation, 1.0 + lam * nvds
+
+
+def saturation_current(beta_eff, vov, clm):
+    """Saturation drain current."""
+    return 0.5 * beta_eff * vov * vov * clm
+
+
+def saturation_slopes(beta, theta, lam, vov, degradation, beta_eff, clm):
+    """Saturation ``(gm, gds)``; gm includes the degradation term."""
+    gm = beta * vov * (1.0 + 0.5 * theta * vov) / squared(degradation) * clm
+    return gm, 0.5 * beta_eff * vov * vov * lam
+
+
+def triode_current(beta_eff, vov, nvds, clm):
+    """Triode drain current."""
+    return beta_eff * (vov * nvds - 0.5 * nvds * nvds) * clm
+
+
+def triode_slopes(beta_eff, lam, vov, nvds, clm):
+    """Triode ``(gm, gds)``.  gm omits the theta-derivative of beta_eff."""
+    gds = beta_eff * (vov - nvds) * clm \
+        + beta_eff * (vov * nvds - 0.5 * nvds * nvds) * lam
+    return beta_eff * nvds * clm, gds
 
 
 @dataclass(frozen=True)
@@ -74,38 +160,29 @@ class MosfetParameters:
             )
 
     @property
-    def aspect_ratio(self) -> float:
-        """W/L ratio."""
-        return self.width / self.length
-
-    @property
     def vth(self) -> float:
         """Threshold voltage magnitude for this polarity (V)."""
-        tech = self.technology
-        return tech.vth_n if self.polarity is MosfetPolarity.NMOS else tech.vth_p
+        return device_constants(self.technology, self.polarity)[0]
 
     @property
     def u_cox(self) -> float:
         """Process transconductance parameter for this polarity (A/V^2)."""
-        tech = self.technology
-        return tech.u_cox_n if self.polarity is MosfetPolarity.NMOS else tech.u_cox_p
+        return device_constants(self.technology, self.polarity)[1]
 
     @property
     def lambda_clm(self) -> float:
         """Channel-length modulation coefficient for this polarity (1/V)."""
-        tech = self.technology
-        return tech.lambda_n if self.polarity is MosfetPolarity.NMOS else tech.lambda_p
+        return device_constants(self.technology, self.polarity)[2]
 
     @property
     def kf(self) -> float:
         """Flicker-noise coefficient for this polarity (V^2*F)."""
-        tech = self.technology
-        return tech.kf_n if self.polarity is MosfetPolarity.NMOS else tech.kf_p
+        return device_constants(self.technology, self.polarity)[3]
 
     @property
     def beta(self) -> float:
         """Device transconductance factor ``u_cox * W / L`` (A/V^2)."""
-        return self.u_cox * self.aspect_ratio
+        return self.u_cox * (self.width / self.length)
 
     @property
     def gate_capacitance(self) -> float:
@@ -167,6 +244,10 @@ class Mosfet:
 
     def __init__(self, params: MosfetParameters) -> None:
         self.params = params
+        self._vth, _, self._lambda, _ = device_constants(params.technology,
+                                                         params.polarity)
+        self._beta = params.beta
+        self._theta = params.technology.theta
 
     # -- static helpers -----------------------------------------------------
 
@@ -182,64 +263,48 @@ class Mosfet:
         """Construct a PMOS device."""
         return cls(MosfetParameters(width, length, MosfetPolarity.PMOS, technology))
 
-    # -- normalisation ------------------------------------------------------
-
-    def _normalise(self, vgs: float, vds: float) -> tuple[float, float]:
-        """Flip signs for PMOS so the square-law equations see NMOS-like voltages."""
-        if self.params.polarity is MosfetPolarity.PMOS:
-            return -vgs, -vds
-        return vgs, vds
-
     # -- DC model -----------------------------------------------------------
+
+    def _current(self, nvgs: float, nvds: float) -> float:
+        """Drain current at polarity-normalised voltages: the id-only law
+        the scalar solvers iterate on."""
+        vov = nvgs - self._vth
+        cutoff, saturated = region_test(vov, nvds)
+        if cutoff:
+            return 0.0
+        _, beta_eff, clm = square_law_terms(self._beta, self._theta,
+                                            self._lambda, vov, nvds)
+        if saturated:
+            return saturation_current(beta_eff, vov, clm)
+        return triode_current(beta_eff, vov, nvds, clm)
 
     def drain_current(self, vgs: float, vds: float) -> float:
         """Drain current magnitude (A) at the given terminal voltages."""
-        return self.operating_point(vgs, vds).id
+        return self._current(*normalise(self.params.polarity, vgs, vds))
 
     def operating_point(self, vgs: float, vds: float) -> MosfetOperatingPoint:
         """Full DC operating point (current, gm, gds, region) at a bias."""
-        nvgs, nvds = self._normalise(vgs, vds)
-        p = self.params
-        vov = nvgs - p.vth
-        theta = p.technology.theta
-        lam = p.lambda_clm
-        beta = p.beta
-
-        if vov <= 0.0 or nvds < 0.0:
-            # Cutoff (we do not model sub-threshold conduction; the design
-            # never relies on it).  Reverse vds is also treated as off.
-            return MosfetOperatingPoint(
-                id=0.0, gm=0.0, gds=0.0, region=MosfetRegion.CUTOFF,
-                vgs=nvgs, vds=nvds, vov=vov,
-            )
-
-        # Mobility degradation: effective beta drops with overdrive.  This is
-        # the third-order nonlinearity source for the transconductor.
-        degradation = 1.0 + theta * vov
-        beta_eff = beta / degradation
-        vdsat = vov
-
-        if nvds >= vdsat:
-            # Saturation.
-            id_sat = 0.5 * beta_eff * vov * vov * (1.0 + lam * nvds)
-            # gm = d id / d vgs including the degradation term.
-            gm = beta * vov * (1.0 + 0.5 * theta * vov) / (degradation ** 2)
-            gm *= (1.0 + lam * nvds)
-            gds = 0.5 * beta_eff * vov * vov * lam
-            return MosfetOperatingPoint(
-                id=id_sat, gm=gm, gds=gds, region=MosfetRegion.SATURATION,
-                vgs=nvgs, vds=nvds, vov=vov,
-            )
-
-        # Triode.
-        id_tri = beta_eff * (vov * nvds - 0.5 * nvds * nvds) * (1.0 + lam * nvds)
-        gm = beta_eff * nvds * (1.0 + lam * nvds)
-        gds = beta_eff * (vov - nvds) * (1.0 + lam * nvds) \
-            + beta_eff * (vov * nvds - 0.5 * nvds * nvds) * lam
-        return MosfetOperatingPoint(
-            id=id_tri, gm=gm, gds=gds, region=MosfetRegion.TRIODE,
-            vgs=nvgs, vds=nvds, vov=vov,
-        )
+        nvgs, nvds = normalise(self.params.polarity, vgs, vds)
+        vov = nvgs - self._vth
+        cutoff, saturated = region_test(vov, nvds)
+        if cutoff:
+            id_ = gm = gds = 0.0
+            region = MosfetRegion.CUTOFF
+        else:
+            beta, theta, lam = self._beta, self._theta, self._lambda
+            degradation, beta_eff, clm = square_law_terms(beta, theta, lam,
+                                                          vov, nvds)
+            if saturated:
+                id_ = saturation_current(beta_eff, vov, clm)
+                gm, gds = saturation_slopes(beta, theta, lam, vov,
+                                            degradation, beta_eff, clm)
+                region = MosfetRegion.SATURATION
+            else:
+                id_ = triode_current(beta_eff, vov, nvds, clm)
+                gm, gds = triode_slopes(beta_eff, lam, vov, nvds, clm)
+                region = MosfetRegion.TRIODE
+        return MosfetOperatingPoint(id=id_, gm=gm, gds=gds, region=region,
+                                    vgs=nvgs, vds=nvds, vov=vov)
 
     # -- switch behaviour ---------------------------------------------------
 
@@ -252,10 +317,7 @@ class Mosfet:
         device is off.  The sign of ``vds`` is normalised to the polarity, so
         callers can always pass a small positive magnitude.
         """
-        if self.params.polarity is MosfetPolarity.PMOS:
-            vds = -abs(vds)
-        else:
-            vds = abs(vds)
+        vds = polarity_sign(self.params.polarity) * abs(vds)
         op = self.operating_point(vgs, vds)
         if op.region is MosfetRegion.CUTOFF or op.id <= 0.0:
             return math.inf
@@ -263,8 +325,7 @@ class Mosfet:
 
     def is_on(self, vgs: float) -> bool:
         """True when the gate drive exceeds the threshold (switch closed)."""
-        nvgs, _ = self._normalise(vgs, 0.0)
-        return nvgs > self.params.vth
+        return polarity_sign(self.params.polarity) * vgs > self._vth
 
     # -- bias solving -------------------------------------------------------
 
@@ -278,30 +339,24 @@ class Mosfet:
         if target_id < 0:
             raise ValueError("target drain current must be non-negative")
         if target_id == 0.0:
-            return 0.0 if self.params.polarity is MosfetPolarity.NMOS else 0.0
+            return 0.0
 
-        p = self.params
-        lo = p.vth
-        hi = p.vth + 3.0  # generous upper bound on the overdrive
-        sign = 1.0 if p.polarity is MosfetPolarity.NMOS else -1.0
+        lo = self._vth
+        hi = self._vth + 3.0  # generous upper bound on the overdrive
         nvds = abs(vds)
-
-        def current_at(nvgs: float) -> float:
-            return self.operating_point(sign * nvgs, sign * nvds).id
-
-        if current_at(hi) < target_id:
+        if self._current(hi, nvds) < target_id:
             raise ValueError(
                 f"target current {target_id:.3g} A is unreachable for this geometry"
             )
         for _ in range(max_iterations):
             mid = 0.5 * (lo + hi)
-            if current_at(mid) < target_id:
+            if self._current(mid, nvds) < target_id:
                 lo = mid
             else:
                 hi = mid
             if hi - lo < tolerance:
                 break
-        return sign * 0.5 * (lo + hi)
+        return polarity_sign(self.params.polarity) * 0.5 * (lo + hi)
 
     def width_for_resistance(self, target_r_on: float, vgs: float,
                              length: float | None = None) -> float:
@@ -314,15 +369,13 @@ class Mosfet:
         if target_r_on <= 0:
             raise ValueError("target on-resistance must be positive")
         length = length if length is not None else self.params.length
-        nvgs, _ = self._normalise(vgs, 0.0)
-        vov = nvgs - self.params.vth
+        vov = polarity_sign(self.params.polarity) * vgs - self._vth
         if vov <= 0:
             raise ValueError("device is off at the requested gate drive")
-        degradation = 1.0 + self.params.technology.theta * vov
+        degradation = mobility_degradation(self._theta, vov)
         # Deep-triode conductance: g = beta_eff * vov.
         beta_required = 1.0 / (target_r_on * vov) * degradation
-        width = beta_required * length / self.params.u_cox
-        return width
+        return beta_required * length / self.params.u_cox
 
     # -- noise --------------------------------------------------------------
 
@@ -363,10 +416,10 @@ class Mosfet:
 class MosfetArrayOperatingPoint:
     """Elementwise small-signal operating points of a :class:`MosfetArray`.
 
-    The array twin of :class:`MosfetOperatingPoint`: every field holds one
-    value per bank element, computed by the same operation sequence as the
-    scalar model, so ``bank.operating_point(vgs, vds).gm[i]`` is bit-equal
-    to the corresponding scalar ``Mosfet.operating_point(...).gm``.
+    The array counterpart of :class:`MosfetOperatingPoint`: every field
+    holds one value per bank element, from the same module functions the
+    scalar model calls, so ``bank.operating_point(vgs, vds).gm[i]`` is the
+    scalar ``Mosfet.operating_point(...).gm`` of that element.
     """
 
     id: np.ndarray
@@ -379,17 +432,10 @@ class MosfetArrayOperatingPoint:
     @property
     def regions(self) -> list[MosfetRegion]:
         """Operating region per element (derived from ``vov``/``vds``)."""
-        cutoff = (self.vov <= 0.0) | (self.vds < 0.0)
-        saturated = ~cutoff & (self.vds >= self.vov)
-        out = []
-        for index in range(self.id.size):
-            if cutoff.flat[index]:
-                out.append(MosfetRegion.CUTOFF)
-            elif saturated.flat[index]:
-                out.append(MosfetRegion.SATURATION)
-            else:
-                out.append(MosfetRegion.TRIODE)
-        return out
+        cutoff, saturated = region_test(self.vov, self.vds)
+        return [MosfetRegion.CUTOFF if off else
+                MosfetRegion.SATURATION if sat else MosfetRegion.TRIODE
+                for off, sat in zip(cutoff.flat, saturated.flat)]
 
 
 class MosfetArray:
@@ -398,11 +444,11 @@ class MosfetArray:
     Geometry and technology constants may vary per element (one device per
     Monte-Carlo corner), the polarity is shared.
 
-    **Bit-identity contract**: every derived quantity is computed with the
-    same IEEE-754 operation sequence (same association order, same literal
-    constants) as the scalar :class:`Mosfet`, so a bank evaluation returns
-    exactly the scalar model's doubles, gated elementwise in
-    ``tests/test_sizing_batch.py``.
+    The bank calls the same square-law functions as the scalar
+    :class:`Mosfet` on columns of per-element constants and selects the
+    region with ``np.where``; elementwise IEEE arithmetic then returns
+    exactly the scalar model's doubles, which
+    ``tests/test_sizing_batch.py`` checks element by element.
     """
 
     def __init__(self, widths, lengths,
@@ -433,15 +479,9 @@ class MosfetArray:
         self.length = length
         self.polarity = polarity
         self.technologies = technologies
-        nmos = polarity is MosfetPolarity.NMOS
-        self._vth = np.array(
-            [t.vth_n if nmos else t.vth_p for t in technologies], dtype=float)
-        self._u_cox = np.array(
-            [t.u_cox_n if nmos else t.u_cox_p for t in technologies],
-            dtype=float)
-        self._lambda = np.array(
-            [t.lambda_n if nmos else t.lambda_p for t in technologies],
-            dtype=float)
+        self._vth, self._u_cox, self._lambda, _ = (
+            np.array(column, dtype=float) for column in
+            zip(*(device_constants(t, polarity) for t in technologies)))
         self._theta = np.array([t.theta for t in technologies], dtype=float)
 
     # -- static helpers -----------------------------------------------------
@@ -478,71 +518,46 @@ class MosfetArray:
 
     def _current(self, nvgs: np.ndarray,
                  nvds: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Drain current plus the terms ``_evaluate`` reuses for gm/gds.
-
-        Every arithmetic expression below mirrors a line of the scalar
-        :meth:`Mosfet.operating_point` with identical association order;
-        region selection happens through masks instead of branches, which
-        cannot perturb the per-element doubles.
-        """
+        """Drain current at normalised voltage arrays, plus the terms
+        :meth:`operating_point` reuses for gm/gds."""
         vov = nvgs - self._vth
-        cutoff = (vov <= 0.0) | (nvds < 0.0)
-        saturated = ~cutoff & (nvds >= vov)
+        cutoff, saturated = region_test(vov, nvds)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            degradation = 1.0 + self._theta * vov
-            beta_eff = self.beta / degradation
-            clm = 1.0 + self._lambda * nvds
-            id_sat = 0.5 * beta_eff * vov * vov * clm
-            id_tri = beta_eff * (vov * nvds - 0.5 * nvds * nvds) * clm
-            id_ = np.where(cutoff, 0.0, np.where(saturated, id_sat, id_tri))
-        return id_, vov, cutoff, saturated, degradation, beta_eff, clm
-
-    def _evaluate(self, nvgs: np.ndarray,
-                  nvds: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The square-law equations on polarity-normalised voltage arrays."""
-        id_, vov, cutoff, saturated, degradation, beta_eff, clm = \
-            self._current(nvgs, nvds)
-        beta = self.beta
-        theta = self._theta
-        lam = self._lambda
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # The scalar model writes ``degradation ** 2``, which CPython
-            # routes through libm pow() — occasionally 1 ulp away from the
-            # x*x that numpy lowers ``arr ** 2`` to; float_power is pow().
-            deg_sq = np.float_power(degradation, 2.0)
-            gm_sat = beta * vov * (1.0 + 0.5 * theta * vov) / deg_sq
-            gm_sat = gm_sat * clm
-            gds_sat = 0.5 * beta_eff * vov * vov * lam
-            gm_tri = beta_eff * nvds * clm
-            gds_tri = beta_eff * (vov - nvds) * clm \
-                + beta_eff * (vov * nvds - 0.5 * nvds * nvds) * lam
-            gm = np.where(cutoff, 0.0, np.where(saturated, gm_sat, gm_tri))
-            gds = np.where(cutoff, 0.0,
-                           np.where(saturated, gds_sat, gds_tri))
-        return id_, gm, gds, vov
+            terms = square_law_terms(self.beta, self._theta, self._lambda,
+                                     vov, nvds)
+            _, beta_eff, clm = terms
+            id_ = np.where(cutoff, 0.0, np.where(
+                saturated, saturation_current(beta_eff, vov, clm),
+                triode_current(beta_eff, vov, nvds, clm)))
+        return id_, vov, cutoff, saturated, terms
 
     def _normalise(self, vgs, vds) -> tuple[np.ndarray, np.ndarray]:
-        """Flip signs for PMOS, exactly like the scalar model."""
-        nvgs = np.broadcast_to(np.asarray(vgs, dtype=float),
-                               self.width.shape).astype(float)
-        nvds = np.broadcast_to(np.asarray(vds, dtype=float),
-                               self.width.shape).astype(float)
-        if self.polarity is MosfetPolarity.PMOS:
-            return -nvgs, -nvds
-        return nvgs, nvds
+        """Broadcast the bias to the bank, then flip signs for PMOS."""
+        return normalise(self.polarity, *(
+            np.broadcast_to(np.asarray(v, dtype=float),
+                            self.width.shape).astype(float)
+            for v in (vgs, vds)))
 
     def operating_point(self, vgs, vds) -> MosfetArrayOperatingPoint:
         """Per-element DC operating points at (broadcastable) bias arrays."""
         nvgs, nvds = self._normalise(vgs, vds)
-        id_, gm, gds, vov = self._evaluate(nvgs, nvds)
-        return MosfetArrayOperatingPoint(id=id_, gm=gm, gds=gds,
-                                         vgs=nvgs, vds=nvds, vov=vov)
+        id_, vov, cutoff, saturated, (degradation, beta_eff, clm) = \
+            self._current(nvgs, nvds)
+        lam = self._lambda
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gm_sat, gds_sat = saturation_slopes(
+                self.beta, self._theta, lam, vov, degradation, beta_eff, clm)
+            gm_tri, gds_tri = triode_slopes(beta_eff, lam, vov, nvds, clm)
+        return MosfetArrayOperatingPoint(
+            id=id_, vgs=nvgs, vds=nvds, vov=vov,
+            gm=np.where(cutoff, 0.0, np.where(saturated, gm_sat, gm_tri)),
+            gds=np.where(cutoff, 0.0, np.where(saturated, gds_sat, gds_tri)))
 
     def drain_current(self, vgs, vds) -> np.ndarray:
         """Per-element drain current magnitude (A), bit-equal to the scalar.
 
-        The id-only twin of :meth:`operating_point` for iterative solvers:
-        it skips gm/gds.
+        The id-only counterpart of :meth:`operating_point` for iterative
+        solvers: it skips gm/gds.
         """
         return self._current(*self._normalise(vgs, vds))[0]
 
@@ -564,13 +579,12 @@ class MosfetArray:
         target = np.broadcast_to(np.asarray(target_id, dtype=float), shape)
         if np.any(target <= 0.0):
             raise ValueError("bank bias targets must be positive")
-        sign = 1.0 if self.polarity is MosfetPolarity.NMOS else -1.0
         nvds = np.abs(np.broadcast_to(np.asarray(vds, dtype=float), shape))
         lo = self._vth.copy()
         hi = self._vth + 3.0  # generous upper bound on the overdrive
 
         def below(nvgs: np.ndarray) -> np.ndarray:
-            return self.drain_current(sign * nvgs, sign * nvds) < target
+            return self._current(nvgs, nvds)[0] < target
 
         unreachable = np.flatnonzero(below(hi))
         if unreachable.size:
@@ -587,7 +601,7 @@ class MosfetArray:
             active &= ~(hi - lo < tolerance)
             if not active.any():
                 break
-        return sign * 0.5 * (lo + hi)
+        return polarity_sign(self.polarity) * 0.5 * (lo + hi)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MosfetArray({self.polarity.value}, n={len(self)}, "

@@ -463,6 +463,23 @@ class TestBatchSubmission:
             lookups = _lookups(service)
             assert (lookups["hits"], lookups["misses"]) == (0, 2)
 
+    @pytest.mark.parametrize("workers", [None, 1],
+                             ids=["one-group", "two-groups"])
+    def test_identical_members_store_one_entry(self, tmp_path, workers):
+        # A twin with other ``workers`` runs in its own group but shares
+        # the request key, which must still be stored (and written) once.
+        calls: list = []
+        service = MixerService(registry=_fig8_spy_registry(calls),
+                               response_cache=tmp_path)
+        twin = replace(small_request("fig8"), workers=workers)
+        service.submit_batch([small_request("fig8"), twin])
+        assert calls == ([1] if workers is None else [1, 1])
+        stats = service.response_cache.stats()
+        assert stats["disk_tier"]
+        assert (stats["stores"], stats["memory_entries"],
+                stats["write_errors"]) == (1, 1, 0)
+        assert len(list(tmp_path.glob("*.json"))) == 1
+
     def test_mixed_batch_counts_one_hit_per_warmed_member(self, population):
         calls: list = []
         service = MixerService(registry=_fig8_spy_registry(calls))

@@ -47,7 +47,14 @@ from repro.core.transconductance import (
     solve_gm_block,
     solve_widths,
 )
-from repro.devices.mosfet import Mosfet, MosfetArray, MosfetRegion
+import repro.devices.mosfet as mosfet_module
+from repro.devices.mosfet import (
+    Mosfet,
+    MosfetArray,
+    MosfetOperatingPoint,
+    MosfetRegion,
+    squared,
+)
 from repro.devices.technology import UMC65_LIKE, fast_corner, slow_corner
 from repro.sweep import SweepRunner
 from repro.sweep.montecarlo import DeviceSpread, sample_design
@@ -305,13 +312,13 @@ def _bisection_resolution(design: MixerDesign) -> float:
     return max(1e-12, 2e-12 / vov)
 
 
-#: ``Mosfet.operating_point`` calls of one cold solo fig8 request when every
+#: Scalar device evaluations of one cold solo fig8 request when every
 #: width was bisected.
-_BISECTED_FIG8_OPERATING_POINT_CALLS = 7322
+_BISECTED_FIG8_DEVICE_EVALUATIONS = 7322
 
 #: The same request with closed-form sizing and one bias bisection shared by
 #: both modes (194 while each mode bisected its own bias).
-_COLD_FIG8_OPERATING_POINT_CALLS = 150
+_COLD_FIG8_DEVICE_EVALUATIONS = 150
 
 
 def _count_calls(monkeypatch, method: str) -> list:
@@ -324,6 +331,36 @@ def _count_calls(monkeypatch, method: str) -> list:
         return original(self, *args, **kwargs)
     monkeypatch.setattr(Mosfet, method, counting)
     return calls
+
+
+def _count_scalar_evaluations(monkeypatch) -> list:
+    """Record every scalar device evaluation for the rest of the test.
+
+    Each one, a full operating point or a solver's id-only step, runs the
+    shared region test once on floats; a bank evaluation runs it on
+    arrays and is not counted.
+    """
+    calls: list = []
+    original = mosfet_module.region_test
+
+    def counting(vov, nvds):
+        if not isinstance(vov, np.ndarray):
+            calls.append(None)
+        return original(vov, nvds)
+    monkeypatch.setattr(mosfet_module, "region_test", counting)
+    return calls
+
+
+def _count_operating_points_built(monkeypatch) -> list:
+    """Record every :class:`MosfetOperatingPoint` constructed."""
+    built: list = []
+    original = MosfetOperatingPoint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(MosfetOperatingPoint, "__init__", counting)
+    return built
 
 
 class TestClosedFormSizing:
@@ -390,14 +427,36 @@ class TestClosedFormSizing:
         # Solo requests solve lazily through the scalar path, so the count
         # is one request's whole device-model work: one bias bisection
         # shared by both modes, then both Taylor expansions.
-        calls = _count_calls(monkeypatch, "operating_point")
+        calls = _count_scalar_evaluations(monkeypatch)
         bisections = _count_calls(monkeypatch, "vgs_for_current")
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
         MixerService(response_cache=False).submit(
             SpecRequest(experiment="fig8"))
         assert len(bisections) == 1
-        assert 0 < len(calls) <= _COLD_FIG8_OPERATING_POINT_CALLS
-        assert len(calls) < _BISECTED_FIG8_OPERATING_POINT_CALLS // 40
+        assert 0 < len(calls) <= _COLD_FIG8_DEVICE_EVALUATIONS
+        assert len(calls) < _BISECTED_FIG8_DEVICE_EVALUATIONS // 40
+
+    @pytest.mark.parametrize("polarity", ["nmos", "pmos"])
+    def test_scalar_bias_solve_builds_no_operating_point(self, monkeypatch,
+                                                         polarity):
+        device = getattr(Mosfet, polarity)(20e-6, 100e-9)
+        evaluations = _count_scalar_evaluations(monkeypatch)
+        built = _count_operating_points_built(monkeypatch)
+        device.vgs_for_current(1e-3, 0.6)
+        assert len(evaluations) > 30
+        assert built == []
+
+    def test_scalar_taylor_expansion_builds_no_operating_point(
+            self, monkeypatch):
+        design = MixerDesign()
+        tca = TransconductanceAmplifier(
+            design, degeneration_resistance=design.degeneration_resistance)
+        tca.bias_point  # the one operating point a stage keeps
+        evaluations = _count_scalar_evaluations(monkeypatch)
+        built = _count_operating_points_built(monkeypatch)
+        tca.taylor_coefficients()
+        assert len(evaluations) > 5
+        assert built == []
 
 
 class TestSeedDevice:
@@ -495,7 +554,7 @@ class TestGmBlockSolver:
 
     def test_one_bias_solve_serves_both_modes(self, monkeypatch):
         bisections = _count_calls(monkeypatch, "vgs_for_current")
-        evaluations = _count_calls(monkeypatch, "operating_point")
+        evaluations = _count_scalar_evaluations(monkeypatch)
         designs = _mc_designs(6, seed=4)
         mixers = _presolved(designs, _BOTH_MODES)
         assert bisections == []
@@ -695,8 +754,10 @@ class TestIntermediatesBlock:
         # The pass squares through libm pow(), as CPython's float ``** 2``
         # does; numpy's x * x rounds differently for ~0.1 % of inputs.
         values = np.exp(np.random.default_rng(5).uniform(-40, 40, 20_000))
-        assert mixer_module._squared(values).tolist() == \
+        assert squared(values).tolist() == \
             [value ** 2 for value in values.tolist()]
+        assert [squared(value) for value in values.tolist()[:100]] == \
+            squared(values[:100]).tolist()
 
     def test_switch_in_cutoff_gives_infinite_passive_noise(self):
         cutoff = replace(MixerDesign(), technology=replace(
@@ -764,21 +825,21 @@ def test_cold_fig8_runs_two_blocks_of_one(monkeypatch):
     assert blocks == [(1, MixerMode.ACTIVE), (1, MixerMode.PASSIVE)]
 
 
-#: ``Mosfet.operating_point`` calls of a default-grid ``yield_opt`` search
+#: Scalar device evaluations of a default-grid ``yield_opt`` search
 #: (3 generations x 8 candidates x 16 corners = 384 corner designs, both
 #: modes): 73,993+ while every cell bisected its bias and iterated its
 #: Taylor expansion through the scalar device, 2 per corner design with
 #: the block solver.
 _YIELD_OPT_CORNER_DESIGNS = 384
-_YIELD_OPT_OPERATING_POINT_CALLS = 768
+_YIELD_OPT_DEVICE_EVALUATIONS = 768
 
 
 def test_default_yield_opt_device_evaluations(monkeypatch):
     from repro.optimize import run_yield_opt
-    calls = _count_calls(monkeypatch, "operating_point")
+    calls = _count_scalar_evaluations(monkeypatch)
     bisections = _count_calls(monkeypatch, "vgs_for_current")
     monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     run_yield_opt()
     assert bisections == []
-    assert len(calls) == _YIELD_OPT_OPERATING_POINT_CALLS
+    assert len(calls) == _YIELD_OPT_DEVICE_EVALUATIONS
     assert len(calls) <= 2 * _YIELD_OPT_CORNER_DESIGNS
