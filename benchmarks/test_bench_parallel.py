@@ -9,11 +9,12 @@ Two acceptance gates from the scale-up work:
   the :func:`~repro.core.transconductance.sizing_solve_count`
   instrumentation) and land >= 2x under the cold run.
 
-The timing gates are skipped in smoke mode (``--benchmark-disable``, the CI
-configuration), the parallel gate carries the ``timing`` marker (deselected
-unless ``-m timing`` asks for it) and additionally requires >= 2 usable CPUs
-— a single-core box can prove correctness of the sharded path but not a
-wall-clock win.  The equality assertions always run, pool and all.
+Both wall-clock gates carry the ``timing`` marker (deselected unless
+``-m timing`` asks for it) and are skipped in smoke mode
+(``--benchmark-disable``, the CI configuration); the parallel gate
+additionally requires >= 2 usable CPUs — a single-core box can prove
+correctness of the sharded path but not a wall-clock win.  The equality
+and zero-solve assertions always run, pool and all.
 """
 
 from __future__ import annotations
@@ -102,33 +103,38 @@ def test_bench_parallel_speedup(design, request) -> None:
         f"({single_time * 1e3:.0f} ms single vs {parallel_time * 1e3:.0f} ms)")
 
 
-def test_bench_cache_warm_skips_sizing_and_speeds_up(design, tmp_path,
-                                                     request) -> None:
-    """Warm-cache gate: zero sizing bisections and >= 2x over the cold run."""
+def _cold_then_warm(design, directory) -> dict:
+    """Two identical 8-design runs over one cache directory, timed."""
     designs = _designs(design, 8)
+    runs = {}
+    for name in ("cold", "warm"):
+        before = sizing_solve_count()
+        start = time.perf_counter()
+        result = SweepRunner(design, cache=directory).run(
+            rf_frequencies=_grid(), designs=designs)
+        runs[name] = (result, time.perf_counter() - start,
+                      sizing_solve_count() - before)
+    return runs
 
-    before = sizing_solve_count()
-    start = time.perf_counter()
-    cold = SweepRunner(design, cache=tmp_path).run(rf_frequencies=_grid(),
-                                                   designs=designs)
-    cold_time = time.perf_counter() - start
-    cold_solves = sizing_solve_count() - before
+
+def test_bench_cache_warm_skips_sizing(design, tmp_path) -> None:
+    """Warm-cache gate: zero sizing bisections, bit-identical arrays."""
+    runs = _cold_then_warm(design, tmp_path)
+    (cold, _, cold_solves), (warm, _, warm_solves) = runs["cold"], runs["warm"]
     assert cold_solves > 0
-
-    before = sizing_solve_count()
-    start = time.perf_counter()
-    warm = SweepRunner(design, cache=tmp_path).run(rf_frequencies=_grid(),
-                                                   designs=designs)
-    warm_time = time.perf_counter() - start
-    warm_solves = sizing_solve_count() - before
-
     # The headline guarantee: a warm cache performs zero sizing bisections.
     assert warm_solves == 0, f"warm run still sized {warm_solves} devices"
     for spec in cold.spec_names:
         np.testing.assert_array_equal(warm.data[spec], cold.data[spec])
 
+
+@pytest.mark.timing
+def test_bench_cache_warm_speedup(design, tmp_path, request) -> None:
+    """The >= 2x wall-clock gate of the warm run over the cold one."""
     if _smoke_mode(request):
-        return  # timing below is meaningless under smoke settings
+        pytest.skip("timing gate skipped in benchmark smoke mode")
+    runs = _cold_then_warm(design, tmp_path)
+    cold_time, warm_time = runs["cold"][1], runs["warm"][1]
     speedup = cold_time / warm_time
     record_comparison("cache", "warm/cold speedup (8-design MC)",
                       ">= 2x", f"{speedup:.1f}x")

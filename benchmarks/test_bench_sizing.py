@@ -12,9 +12,8 @@ building ``TransconductanceAmplifier`` objects.  What the closed form buys
 is asserted as a work count instead: the population sizes without a single
 width bisection or ``Mosfet.operating_point`` call.
 
-The run is forced cold (``REPRO_SWEEP_CACHE=off``): the on-disk cache
-exists precisely to skip these solves, so the comparison must not let a
-warm cache answer for either side.  The calibrated ``benchmark``-fixture
+Both sides run cold: neither entry point takes the on-disk cache, which
+exists precisely to skip these solves.  The calibrated ``benchmark``-fixture
 case feeds the nightly ``BENCH_<run>.json`` trajectory (the ``sizing``
 suite in ``bench.yml``).
 """
@@ -49,9 +48,8 @@ def _scalar_widths(records) -> np.ndarray:
                      for record in records])
 
 
-def test_bench_sizing_population_bit_identity(design, monkeypatch) -> None:
+def test_bench_sizing_population_bit_identity(design) -> None:
     """One batched solve equals the scalar loop bit for bit."""
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     records = _population(design)
     scalar = _scalar_widths(records)
     batches = batched_sizing_solve_count()
@@ -66,7 +64,6 @@ def test_bench_sizing_population_closed_form(design, monkeypatch) -> None:
     No draw falls back to the width bisection, so the batched solve
     evaluates no device at all.
     """
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     records = _population(design)
     calls: Counter = Counter()
     bisect = transconductance._bisect_width
@@ -88,10 +85,8 @@ def test_bench_sizing_population_closed_form(design, monkeypatch) -> None:
     assert calls["operating_point"] == 0
 
 
-def test_bench_sizing_batched_calibrated(design, benchmark,
-                                         monkeypatch) -> None:
+def test_bench_sizing_batched_calibrated(design, benchmark) -> None:
     """Calibrated batched-solver datapoint for the perf trajectory."""
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     records = _population(design)
     widths = benchmark(solve_widths, records)
     assert widths.shape == (NUM_DESIGNS,)

@@ -8,11 +8,14 @@ remembers the **entire encoded answer** to a request, keyed on
 identical request never reaches the engine at all (zero sizing solves,
 asserted in ``tests/test_api.py``).
 
-Both tiers follow the same discipline as the spec cache: content-addressed
+The disk tier is the ``responses`` table of the directory's
+``cells.sqlite``, read and written through the spec cache's own
+:func:`~repro.sweep.cache.read_rows` / :func:`~repro.sweep.cache.write_rows`,
+so both caches share one database and one set of rules: content-addressed
 keys (the request key already folds in :data:`~repro.api.request.\
-API_VERSION`), atomic writes, corrupt entries degrading to recompute, failed
-disk writes counted (``write_errors``) instead of failing the request, and a
-:data:`RESPONSE_CACHE_VERSION` stamped on every disk entry so numbers
+API_VERSION`), corrupt entries degrading to recompute, failed writes counted
+(``write_errors``) instead of failing the request, and a
+:data:`RESPONSE_CACHE_VERSION` stamped on every stored entry so numbers
 computed by an older engine miss without touching the wire contract.
 The in-memory tier is a bounded LRU so a long-lived server keeps its hot
 designs resident without growing unboundedly; the disk tier is shared by
@@ -21,12 +24,12 @@ every service instance pointed at the directory (CLI runs, server restarts).
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
+
+from repro.sweep.cache import read_rows, write_rows
 
 #: Default capacity of the in-memory LRU tier.
 DEFAULT_LRU_SIZE = 128
@@ -35,28 +38,7 @@ DEFAULT_LRU_SIZE = 128
 #: cached numbers are.  Entries without the stamp predate it (version 1).
 RESPONSE_CACHE_VERSION = 3
 _VERSION_FIELD = "response_cache_version"
-
-
-def atomic_write_json(path: Path, payload: dict) -> None:
-    """Write a JSON payload so readers never observe a partial entry.
-
-    The bytes go to a temp file unique to this process *and thread* (the
-    threaded HTTP server writes cache entries from concurrent handler
-    threads, where a pid-only suffix would race), then move into place with
-    ``os.replace`` — atomic on POSIX.  Concurrent writers of the same entry
-    at worst race to install identical content.  A failed write removes its
-    temp file before the error propagates.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(
-        f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
-    try:
-        temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(temp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            temp.unlink(missing_ok=True)
-        raise
+_TABLE = "responses"
 
 
 class ResponseCache:
@@ -89,12 +71,6 @@ class ResponseCache:
         self.corrupt = 0
         self.write_errors = 0
 
-    # -- keys -----------------------------------------------------------------
-
-    def _path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.json"
-
     # -- load / store ---------------------------------------------------------
 
     def load(self, key: str) -> tuple[dict, str] | None:
@@ -114,39 +90,25 @@ class ResponseCache:
             with self._lock:
                 self.misses += 1
             return None
-        try:
-            text = self._path(key).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            with self._lock:
-                self.misses += 1
-            return None
-        except OSError:
-            with self._lock:
-                self.corrupt += 1
-                self.misses += 1
-            return None
-        try:
-            entry = json.loads(text)
-            if not isinstance(entry, dict) or entry.get("request_key") != key:
-                raise ValueError("malformed response-cache entry")
-            if entry.pop(_VERSION_FIELD, None) != RESPONSE_CACHE_VERSION:
-                raise ValueError("response-cache version mismatch")
-        except ValueError:
-            with self._lock:
-                self.corrupt += 1
-                self.misses += 1
-            return None
+        rows = read_rows(self.directory, _TABLE, [key])
+        text = None if rows is None else rows.get(key)
+        entry = None if text is None else _decode(key, text)
         with self._lock:
+            if entry is None:
+                if rows is None or text is not None:
+                    self.corrupt += 1
+                self.misses += 1
+                return None
             self._remember(key, entry)
             self.disk_hits += 1
         return entry, "disk"
 
     def store(self, key: str, entry: dict) -> None:
-        """Persist one response entry under its request key (atomically).
+        """Persist one response entry under its request key.
 
-        A disk write failing with ``OSError`` (full disk, read-only
-        directory) is counted in ``write_errors`` and dropped; the memory
-        tier still holds the entry.
+        A failed disk write (full disk, read-only or broken database) is
+        counted in ``write_errors`` and dropped; the memory tier still
+        holds the entry.
         """
         if entry.get("request_key") != key:
             raise ValueError("entry's request_key must match the store key")
@@ -155,10 +117,9 @@ class ResponseCache:
             self.stores += 1
         if self.directory is None:
             return
-        try:
-            atomic_write_json(self._path(key),
-                              {**entry, _VERSION_FIELD: RESPONSE_CACHE_VERSION})
-        except OSError:
+        # Unsorted: a disk hit then encodes to the computed reply's bytes.
+        text = json.dumps({**entry, _VERSION_FIELD: RESPONSE_CACHE_VERSION})
+        if not write_rows(self.directory, _TABLE, [(key, text)]):
             with self._lock:
                 self.write_errors += 1
 
@@ -219,3 +180,15 @@ class ResponseCache:
         return (f"ResponseCache({where!r}, lru={self.memory_size}/"
                 f"{self.lru_size}, mem_hits={self.memory_hits}, "
                 f"disk_hits={self.disk_hits}, misses={self.misses})")
+
+
+def _decode(key: str, text: str) -> dict | None:
+    """A stored row's entry, or ``None`` if malformed or of another version."""
+    try:
+        entry = json.loads(text)
+    except (TypeError, ValueError):
+        return None
+    if not isinstance(entry, dict) or entry.get("request_key") != key or \
+            entry.pop(_VERSION_FIELD, None) != RESPONSE_CACHE_VERSION:
+        return None
+    return entry

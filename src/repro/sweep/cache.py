@@ -23,10 +23,14 @@ Each engine declares one subclass naming its namespace, version and codec:
 Key properties:
 
 * **one SQLite database per directory** — every namespace's entries live
-  in :data:`DATABASE_NAME` (WAL mode; needs a local file system), a rowid
-  table: with 0.5-1.1 KB rows under random keys, the older ``WITHOUT
-  ROWID`` table's commits slowed as it grew (directories holding one keep
-  it).  ``*.json`` entries of the older file-per-cell layout are ignored;
+  in the ``cells`` table of :data:`DATABASE_NAME` (WAL mode; needs a local
+  file system), a rowid table: with 0.5-1.1 KB rows under random keys, the
+  older ``WITHOUT ROWID`` table's commits slowed as it grew (directories
+  holding one keep it).  The same database holds the
+  :class:`~repro.api.response_cache.ResponseCache` disk tier in its
+  ``responses`` table; both go through :func:`read_rows` and
+  :func:`write_rows`.  ``*.json`` entries of the older file-per-entry
+  layouts are ignored;
 * **block I/O** — an engine run makes one :meth:`~CellCache.load_many`
   (one ``SELECT … WHERE key IN (…)``) and one :meth:`~CellCache.store_many`
   (one ``INSERT OR REPLACE`` transaction); ``load``/``store`` are blocks
@@ -44,9 +48,8 @@ Key properties:
   database) counts every cell of the block in ``write_errors`` and is
   otherwise ignored: the caller already holds the computed result;
 * **switchable** — pass ``cache=None``/``False`` (the default everywhere)
-  for no caching, or set ``REPRO_SWEEP_CACHE=off`` in the environment to
-  force-disable caching even where code requests it;
-  ``REPRO_SWEEP_CACHE_DIR`` overrides the default directory.
+  for no caching; ``REPRO_SWEEP_CACHE_DIR`` overrides the default
+  directory of ``cache=True``.
 
 Cache instances are cheap, picklable handles around a directory.  A
 process holds at most one connection per directory and
@@ -71,17 +74,12 @@ import numpy as np
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import SpecIntermediates
 
-#: Environment variable that force-disables caching when set to one of
-#: ``off``/``0``/``false``/``no`` (case-insensitive).
-DISABLE_ENV = "REPRO_SWEEP_CACHE"
-
 #: Environment variable overriding the default cache directory.
 DIRECTORY_ENV = "REPRO_SWEEP_CACHE_DIR"
 
 #: The SQLite file holding every entry of one cache directory.
 DATABASE_NAME = "cells.sqlite"
 
-_DISABLE_VALUES = {"off", "0", "false", "no"}
 _MAX_CONNECTIONS = 4  # least recently used closes first
 _MAX_KEYS = 999  # per ``IN (…)``: SQLite's historical parameter limit
 
@@ -109,10 +107,11 @@ def _open(path: Path):
         connection.execute("PRAGMA journal_mode=WAL")
         connection.execute("PRAGMA synchronous=NORMAL")
         connection.execute("PRAGMA cache_size=-256")  # KiB, not ~2 MB
-        # A rowid table (see the module docstring); an older directory's
-        # WITHOUT ROWID table is kept, and every statement works on both.
-        connection.execute("CREATE TABLE IF NOT EXISTS cells (key TEXT "
-                           "PRIMARY KEY, entry TEXT NOT NULL)")
+        # Rowid tables (see the module docstring); an older directory's
+        # WITHOUT ROWID cells table is kept: every statement works on both.
+        for table in ("cells", "responses"):
+            connection.execute(f"CREATE TABLE IF NOT EXISTS {table} (key "
+                               "TEXT PRIMARY KEY, entry TEXT NOT NULL)")
     except BaseException:
         connection.close()
         raise
@@ -138,12 +137,46 @@ def _connection(directory: Path, create: bool):
     return connection
 
 
-def _select(connection, keys: list[str]):
-    for start in range(0, len(keys), _MAX_KEYS):
-        chunk = keys[start:start + _MAX_KEYS]
-        yield from connection.execute(
-            "SELECT key, entry FROM cells WHERE key IN "
-            f"({','.join('?' * len(chunk))})", chunk)
+def read_rows(directory: Path, table: str,
+              keys: list[str]) -> dict[str, str] | None:
+    """The stored ``{key: entry}`` rows of ``table`` among ``keys``.
+
+    A directory without a database reads as empty (a read never creates
+    one); ``None`` when the database cannot be read.
+    """
+    import sqlite3
+    rows = {}
+    try:
+        with _lock:
+            connection = _connection(directory, create=False)
+            if connection is None:
+                return rows
+            for start in range(0, len(keys), _MAX_KEYS):
+                chunk = keys[start:start + _MAX_KEYS]
+                rows.update(connection.execute(
+                    f"SELECT key, entry FROM {table} WHERE key IN "
+                    f"({','.join('?' * len(chunk))})", chunk))
+    except (OSError, sqlite3.Error):
+        return None
+    return rows
+
+
+def write_rows(directory: Path, table: str, rows: list) -> bool:
+    """Insert or replace ``(key, entry)`` rows of ``table`` in one transaction.
+
+    ``False`` when the write fails (full disk, read-only or broken
+    database).
+    """
+    import sqlite3
+    try:
+        with _lock:
+            connection = _connection(directory, create=True)
+            with connection:
+                connection.executemany(
+                    f"INSERT OR REPLACE INTO {table} VALUES (?, ?)", rows)
+    except (OSError, sqlite3.Error):
+        return False
+    return True
 
 
 def default_cache_dir() -> Path:
@@ -212,16 +245,12 @@ class CellCache:
         unreadable database, an entry of another cell, a payload the codec
         rejects — is a miss, so the caller recomputes and stores the cell.
         """
-        import sqlite3
         cells = list(cells)
         entries = [self._entry(design, mode, plan)
                    for design, mode, plan in cells]
-        try:
-            with _lock:
-                connection = _connection(self.directory, create=False)
-                rows = {} if connection is None else dict(_select(
-                    connection, [key for key, _ in entries]))
-        except (OSError, sqlite3.Error):
+        rows = read_rows(self.directory, "cells",
+                         [key for key, _ in entries])
+        if rows is None:
             self.corrupt += len(cells)
             self.misses += len(cells)
             return [None] * len(cells)
@@ -254,7 +283,6 @@ class CellCache:
         counts every cell in ``write_errors`` and is dropped: the cache is
         an accelerator, never a reason to fail.
         """
-        import sqlite3
         rows = []
         for design, mode, value, plan in cells:
             payload = self.codec.encode(value, mode, plan)
@@ -263,16 +291,10 @@ class CellCache:
                 {"identity": identity, "payload": payload}, sort_keys=True)))
         if not rows:
             return
-        try:
-            with _lock:
-                connection = _connection(self.directory, create=True)
-                with connection:
-                    connection.executemany(
-                        "INSERT OR REPLACE INTO cells VALUES (?, ?)", rows)
-        except (OSError, sqlite3.Error):
+        if write_rows(self.directory, "cells", rows):
+            self.stores += len(rows)
+        else:
             self.write_errors += len(rows)
-            return
-        self.stores += len(rows)
 
     def load(self, design: MixerDesign, mode: MixerMode, plan=None):
         """The cached value for one cell, or ``None`` (a block of one)."""
@@ -375,12 +397,9 @@ def resolve_cache(cache, kind: type[CellCache] = SpecCache
     string/``Path`` (cache under that directory), an instance of ``kind``
     (used as-is), or any other :class:`CellCache` — the entry points take
     **one** ``cache=`` option for every engine, so another engine's cache
-    lends its directory.  Whatever the caller asked for,
-    ``REPRO_SWEEP_CACHE=off`` in the environment wins and disables caching.
+    lends its directory.
     """
     if cache is None or cache is False:
-        return None
-    if os.environ.get(DISABLE_ENV, "").strip().lower() in _DISABLE_VALUES:
         return None
     if isinstance(cache, kind):
         return cache

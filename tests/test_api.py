@@ -13,16 +13,19 @@ The load-bearing guarantees, straight from the acceptance bar:
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import inspect
 import json
 import os
+import sqlite3
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.experiments
+import repro.sweep.cache as cache_module
 from repro.api import (
     MixerService,
     RequestValidationError,
@@ -227,6 +230,22 @@ class TestServiceBitIdentity:
             format_report(run_fig8(**SMALL_GRIDS["fig8"]))
 
 
+def _rows(directory, table: str = "responses") -> dict[str, str]:
+    """Every row of one table of a cache directory's database, by key."""
+    database = directory / cache_module.DATABASE_NAME
+    with contextlib.closing(sqlite3.connect(database)) as connection:
+        return dict(connection.execute(f"SELECT key, entry FROM {table}"))
+
+
+def _set_response_row(directory, key: str, entry: str) -> None:
+    """Overwrite one stored response row from a second connection."""
+    database = directory / cache_module.DATABASE_NAME
+    with contextlib.closing(sqlite3.connect(database)) as connection:
+        with connection:
+            connection.execute("UPDATE responses SET entry = ? WHERE key = ?",
+                               (entry, key))
+
+
 class TestResponseCache:
     def test_lru_evicts_least_recent(self):
         cache = ResponseCache(lru_size=2)
@@ -244,11 +263,43 @@ class TestResponseCache:
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ResponseCache(tmp_path)
+        other_version = json.dumps({
+            "request_key": "k",
+            "response_cache_version": RESPONSE_CACHE_VERSION - 1})
+        for count, text in enumerate(["{not json", other_version], start=1):
+            cache.store("k", {"request_key": "k"})
+            cache.clear_memory()
+            _set_response_row(tmp_path, "k", text)
+            assert cache.load("k") is None
+            assert (cache.corrupt, cache.misses) == (count, count)
         cache.store("k", {"request_key": "k"})
         cache.clear_memory()
-        (tmp_path / "k.json").write_text("{not json", encoding="utf-8")
+        assert cache.load("k") == ({"request_key": "k"}, "disk")
+
+    def test_legacy_json_entry_is_a_plain_miss(self, tmp_path):
+        # The file-per-entry layout stored ``<key>.json``; such files are
+        # ignored, and a read creates no database.
+        (tmp_path / "k.json").write_text(json.dumps({
+            "request_key": "k",
+            "response_cache_version": RESPONSE_CACHE_VERSION}),
+            encoding="utf-8")
+        cache = ResponseCache(tmp_path)
         assert cache.load("k") is None
-        assert cache.corrupt == 1
+        assert (cache.misses, cache.corrupt) == (1, 0)
+        assert not (tmp_path / cache_module.DATABASE_NAME).exists()
+
+    def test_shares_the_spec_cache_database(self, tmp_path):
+        service = MixerService(response_cache=tmp_path, spec_cache=tmp_path)
+        service.submit(small_request("table1"))
+        name = cache_module.DATABASE_NAME
+        assert {path.name for path in tmp_path.iterdir()} <= \
+            {name, f"{name}-wal", f"{name}-shm"}
+        cells = _rows(tmp_path, "cells")
+        assert cells and len(_rows(tmp_path)) == 1
+        for key in ("k1", "k2"):
+            ResponseCache(tmp_path).store(key, {"request_key": key})
+        assert _rows(tmp_path, "cells") == cells
+        assert len(_rows(tmp_path)) == 3
 
     def test_key_mismatch_rejected_on_store(self, tmp_path):
         with pytest.raises(ValueError, match="request_key"):
@@ -263,35 +314,49 @@ class TestResponseCache:
         assert sizing_solve_count() == before
         assert response.source == "disk-cache"
 
+    def test_disk_hit_serves_the_computed_bytes(self, tmp_path):
+        request = small_request("fig8")
+        computed = MixerService(response_cache=tmp_path).submit(request)
+        hit = MixerService(response_cache=tmp_path).submit(request)
+        assert hit.source == "disk-cache"
+        assert json.dumps(hit.to_dict()["result"]) == \
+            json.dumps(computed.to_dict()["result"])
+
     def test_unversioned_disk_entry_is_recomputed(self, tmp_path):
         # Entries written before the version stamp hold numbers from the
         # bisection-sized devices; they must miss, not serve.
         request = small_request("table1")
         stored = MixerService(response_cache=str(tmp_path)).submit(request)
-        path = tmp_path / f"{stored.request_key}.json"
-        path.write_text(json.dumps(stored.to_dict()), encoding="utf-8")
+        key = stored.request_key
+        _set_response_row(tmp_path, key, json.dumps(stored.to_dict()))
         fresh = MixerService(response_cache=str(tmp_path))
         before = sizing_solve_count()
         response = fresh.submit(request)
         assert sizing_solve_count() > before
         assert not response.cached
         assert fresh.response_cache.corrupt == 1
-        rewritten = json.loads(path.read_text(encoding="utf-8"))
+        rewritten = json.loads(_rows(tmp_path)[key])
         assert rewritten["response_cache_version"] == RESPONSE_CACHE_VERSION
 
     def test_failed_disk_write_is_counted_not_raised(self, tmp_path,
                                                      monkeypatch):
-        def full_disk(source, target):
-            raise OSError(errno.ENOSPC, "No space left on device")
+        def read_only(path):
+            return sqlite3.connect(f"file:{path}?mode=ro", uri=True,
+                                   check_same_thread=False)
 
         request = small_request("table1")
         uncached = MixerService(response_cache=False).submit(request)
-        monkeypatch.setattr(os, "replace", full_disk)
+        ResponseCache(tmp_path).store("k", {"request_key": "k"})
+        # A fresh connection registry, so the service's store opens the
+        # database read-only and its INSERT fails.
+        monkeypatch.setattr(cache_module, "_open", read_only)
+        monkeypatch.setattr(cache_module, "_connections", OrderedDict())
         service = MixerService(response_cache=str(tmp_path))
         response = service.submit(request)
         assert response.to_dict()["result"] == uncached.to_dict()["result"]
-        assert list(tmp_path.iterdir()) == []  # no .tmp- file left behind
-        assert service.response_cache.write_errors == 1
+        stats = service.response_cache.stats()
+        assert (stats["write_errors"], stats["corrupt"]) == (1, 0)
+        assert list(_rows(tmp_path)) == ["k"]
 
     def test_response_cache_off(self):
         service = MixerService(response_cache=False)
@@ -478,7 +543,7 @@ class TestBatchSubmission:
         assert stats["disk_tier"]
         assert (stats["stores"], stats["memory_entries"],
                 stats["write_errors"]) == (1, 1, 0)
-        assert len(list(tmp_path.glob("*.json"))) == 1
+        assert len(_rows(tmp_path)) == 1
 
     def test_mixed_batch_counts_one_hit_per_warmed_member(self, population):
         calls: list = []

@@ -1,7 +1,7 @@
 """The library runs on numpy alone: no module under ``src/`` needs scipy.
 
-With the engine cache off, the served path never imports ``sqlite3``
-either: the cache imports it on first use.
+With the engine cache off and the response cache memory-only, the served
+path never imports ``sqlite3`` either: the caches import it on first use.
 
 The served path (``repro.serve`` and every waveform and digital engine
 behind it) is exercised in a fresh interpreter whose import system refuses
@@ -61,9 +61,10 @@ SQLITE_SCRIPT = textwrap.dedent("""
     import repro.serve  # noqa: F401
     from repro.api import MixerService, SpecRequest
 
-    service = MixerService(response_cache=False)
+    service = MixerService()
     for name in ("fig8", "table1", "fig10", "p1db", "digital_if"):
         service.submit(SpecRequest(name))
+        assert service.submit(SpecRequest(name)).source == "memory-cache"
     assert "sqlite3" not in sys.modules
     with tempfile.TemporaryDirectory() as directory:
         MixerService(spec_cache=directory).submit(SpecRequest("table1"))

@@ -429,7 +429,6 @@ class TestClosedFormSizing:
         # shared by both modes, then both Taylor expansions.
         calls = _count_scalar_evaluations(monkeypatch)
         bisections = _count_calls(monkeypatch, "vgs_for_current")
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
         MixerService(response_cache=False).submit(
             SpecRequest(experiment="fig8"))
         assert len(bisections) == 1
@@ -811,7 +810,6 @@ _YIELD_OPT_INTERMEDIATE_BLOCKS = 3 * len(_BOTH_MODES)
 def test_default_yield_opt_intermediate_blocks(monkeypatch):
     from repro.optimize import run_yield_opt
     blocks = _spy_intermediate_blocks(monkeypatch)
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     run_yield_opt()
     assert len(blocks) == _YIELD_OPT_INTERMEDIATE_BLOCKS
     assert sum(filled for filled, _ in blocks) == \
@@ -820,7 +818,6 @@ def test_default_yield_opt_intermediate_blocks(monkeypatch):
 
 def test_cold_fig8_runs_two_blocks_of_one(monkeypatch):
     blocks = _spy_intermediate_blocks(monkeypatch)
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     MixerService(response_cache=False).submit(SpecRequest(experiment="fig8"))
     assert blocks == [(1, MixerMode.ACTIVE), (1, MixerMode.PASSIVE)]
 
@@ -838,7 +835,6 @@ def test_default_yield_opt_device_evaluations(monkeypatch):
     from repro.optimize import run_yield_opt
     calls = _count_scalar_evaluations(monkeypatch)
     bisections = _count_calls(monkeypatch, "vgs_for_current")
-    monkeypatch.setenv("REPRO_SWEEP_CACHE", "off")
     run_yield_opt()
     assert bisections == []
     assert len(calls) == _YIELD_OPT_DEVICE_EVALUATIONS

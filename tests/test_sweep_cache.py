@@ -310,13 +310,6 @@ class TestCellCacheContract:
         with pytest.raises(TypeError, match="cache"):
             resolve_cache(1.5, kind)
 
-        monkeypatch.setenv(cache_module.DISABLE_ENV, "on")
-        assert resolve_cache(True, kind) is not None
-        monkeypatch.setenv(cache_module.DISABLE_ENV, "off")
-        assert resolve_cache(True, kind) is None
-        assert resolve_cache(str(tmp_path), kind) is None
-        assert namespace.engine(cache=str(tmp_path)).cache is None
-
     def test_namespaces_share_one_directory(self, namespaces, design,
                                             tmp_path, monkeypatch):
         cold = {name: ns.run(design, tmp_path)

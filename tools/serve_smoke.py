@@ -42,6 +42,10 @@ request shapes:
   ``--spec-cache`` directory must serve the warm pass (from a second,
   freshly booted server, so the response cache cannot answer it) without
   writing a single new cell;
+* the disk response cache: the warm server keeps it (``--response-cache``)
+  in the ``--spec-cache`` directory, and a repeated request to a third
+  server must come back as ``source: "disk-cache"`` with a byte-identical
+  result, the directory holding no ``*.json`` entry;
 * ``GET /v1/metrics`` — the latency/counter snapshot must account for the
   traffic this script just generated.
 
@@ -81,12 +85,17 @@ YIELD_GRID: dict = {
 }
 
 
-def start_server(env: dict,
-                 spec_cache: str) -> tuple[subprocess.Popen, str]:
-    """Boot ``python -m repro.serve --port 0`` and parse its bound address."""
+def start_server(env: dict, spec_cache: str,
+                 response_cache: bool = False) -> tuple[subprocess.Popen, str]:
+    """Boot ``python -m repro.serve --port 0`` and parse its bound address.
+
+    With ``response_cache`` the server also keeps its response cache on
+    disk, in the ``spec_cache`` directory.
+    """
+    flags = ["--response-cache", spec_cache] if response_cache else []
     process = subprocess.Popen(
         [sys.executable, "-m", "repro.serve", "--port", "0",
-         "--spec-cache", spec_cache],
+         "--spec-cache", spec_cache, *flags],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         cwd=REPO_ROOT, env=env)
     assert process.stdout is not None
@@ -496,13 +505,45 @@ def check_engine_cache_batch(base_url: str, spec_cache: str,
 
 
 def check_warm_engine_cache(env: dict, spec_cache: str) -> int:
-    """The same batch from a fresh server over the now-warm engine cache."""
-    process, base_url = start_server(env, spec_cache)
+    """The same batch from a fresh server over the now-warm engine cache.
+
+    This server also keeps its response cache on disk in the same
+    directory; a Fig. 8 request it computes must come back from a second
+    fresh server as a disk-cache hit with a byte-identical result.
+    """
+    request = {"experiment": "fig8", "grid": {"points": POINTS}}
+    process, base_url = start_server(env, spec_cache, response_cache=True)
     try:
         wait_healthy(base_url)
-        return check_engine_cache_batch(base_url, spec_cache, "warm")
+        status = check_engine_cache_batch(base_url, spec_cache, "warm")
+        first = post_json(base_url + "/v1/spec", request)
     finally:
         stop_server(process)
+    if status:
+        return status
+    process, base_url = start_server(env, spec_cache, response_cache=True)
+    try:
+        wait_healthy(base_url)
+        again = post_json(base_url + "/v1/spec", request)
+    finally:
+        stop_server(process)
+    problems = []
+    if first["source"] != "computed" or again["source"] != "disk-cache":
+        problems.append(f"sources {first['source']!r} then "
+                        f"{again['source']!r}, not computed then disk-cache")
+    if json.dumps(again["result"]) != json.dumps(first["result"]):
+        problems.append("the disk-cache result differs from the first reply")
+    stray = sorted(path.name for path in Path(spec_cache).glob("*.json"))
+    if stray:
+        problems.append(f"the cache directory holds JSON files {stray}")
+    for problem in problems:
+        print(f"FAIL: disk response cache: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print("serve smoke OK: a restarted server answers a repeated Fig. 8 "
+          "request from the disk response cache in the engine cache's "
+          "database, byte-identical to the first reply")
+    return 0
 
 
 def check_metrics(base_url: str) -> int:
