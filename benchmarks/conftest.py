@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import MixerDesign
+from repro.sweep.parallel import shutdown_pool
 
 #: Collected (experiment, quantity, paper value, measured value) rows,
 #: printed in the terminal summary.
@@ -27,6 +28,13 @@ def record_comparison(experiment: str, quantity: str, paper, measured) -> None:
         return str(value)
 
     _REPORT_ROWS.append((experiment, quantity, fmt(paper), fmt(measured)))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _process_pool():
+    """Join the shared process pool once the session's last test is done."""
+    yield
+    shutdown_pool()
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,9 @@ sweep-cache work, lifted to whole requests), and runs the misses through
 the registered drivers.  :meth:`~MixerService.submit` and
 :meth:`~MixerService.submit_batch` share one request path — a solo request
 is a batch of one — which plans each request once, makes one cache lookup
-per request, and runs each same-(experiment, grid, ``workers``) group of
-misses once: one ``batch_runner`` call over the group's distinct designs
-(fanned out through the sweep engine's
+per request, and runs each same-(experiment, grid, capped ``workers``)
+group of misses once: one ``batch_runner`` call over the group's distinct
+designs (fanned out through the sweep engine's
 :class:`~repro.sweep.parallel.ParallelSweepRunner`), or one ``runner`` call
 per distinct design for a point experiment.
 
@@ -76,9 +76,9 @@ class MixerService:
         response cache; requests cannot name one.
     workers:
         Default ``workers=`` for runners that accept it (a request's own
-        ``workers`` field wins).  Either is capped at ``os.cpu_count()``:
-        results are bit-identical for any worker count, and every distinct
-        count keeps its own persistent process pool.
+        ``workers`` field wins).  Either is capped at ``os.cpu_count()``,
+        the size of the one process pool every sharded run draws from:
+        results are bit-identical for any worker count.
     lru_size:
         Capacity of the memory tier when the service builds its own cache.
     """
@@ -169,7 +169,7 @@ class MixerService:
         """Answer many requests, running each shared-grid group once.
 
         Every request is planned once and looked up in the response cache
-        once.  The misses are grouped by (experiment, resolved grid,
+        once.  The misses are grouped by (experiment, resolved grid, capped
         ``workers``), and each group runs once: as **one design axis**
         through the experiment's ``batch_runner`` (sharded across processes
         by :class:`~repro.sweep.parallel.ParallelSweepRunner` when the
@@ -193,7 +193,7 @@ class MixerService:
                 continue
             group = (request.experiment,
                      json.dumps(plan.resolved, sort_keys=True),
-                     request.workers)
+                     self._run_options(request, plan.spec).get("workers"))
             groups.setdefault(group, []).append((index, plan))
         # Each slot is now a cache hit or a member of exactly one group, and
         # _run_group fills every member's slot or raises: the /v1/batch
@@ -210,9 +210,10 @@ class MixerService:
                    stored: set[str]) -> None:
         """Run one same-(experiment, grid, workers) group and fill its slots.
 
-        Members share their resolved grid and ``workers`` by construction,
-        so the lead request speaks for the group's run options.  Each
-        response is stored unless its key is already in ``stored``.
+        Members share their resolved grid and capped ``workers`` by
+        construction, so the lead request speaks for the group's run
+        options.  Each response is stored unless its key is already in
+        ``stored``.
         """
         lead_index, lead = members[0]
         spec, resolved = lead.spec, lead.resolved

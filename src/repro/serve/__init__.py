@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -50,7 +51,7 @@ from repro.serve.jobs import (
     encode_json,
 )
 from repro.serve.metrics import ServerMetrics
-from repro.sweep.parallel import set_pool_reuse, shutdown_shared_pools
+from repro.sweep.parallel import shutdown_pool
 
 #: Upper bound on accepted request bodies (a design payload is ~1 kB; a
 #: thousand-request batch fits comfortably — this only stops abuse).
@@ -82,25 +83,17 @@ class SpecHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], handler_class,
                  service: MixerService, verbose: bool = False,
                  job_workers: int = DEFAULT_JOB_WORKERS,
-                 queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                 reuse_process_pools: bool = False) -> None:
+                 queue_limit: int = DEFAULT_QUEUE_LIMIT) -> None:
         super().__init__(address, handler_class)
         self.service = service
         self.verbose = verbose
         self.metrics = ServerMetrics()
         self.jobs = JobManager(service, workers=job_workers,
                                queue_limit=queue_limit)
-        self._reuse_pools = bool(reuse_process_pools)
-        if self._reuse_pools:
-            # Engine runs draw from persistent process pools instead of
-            # spinning up a ProcessPoolExecutor per parallel request.
-            set_pool_reuse(True)
 
     def server_close(self) -> None:
         self.jobs.shutdown(wait=True)
-        if self._reuse_pools:
-            set_pool_reuse(False)
-            shutdown_shared_pools()
+        shutdown_pool()
         super().server_close()
 
 
@@ -337,22 +330,21 @@ def create_server(host: str = "127.0.0.1", port: int = 0,
                   service: MixerService | None = None,
                   verbose: bool = False,
                   job_workers: int = DEFAULT_JOB_WORKERS,
-                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
-                  reuse_process_pools: bool = False) -> SpecHTTPServer:
+                  queue_limit: int = DEFAULT_QUEUE_LIMIT) -> SpecHTTPServer:
     """A ready-to-serve HTTP server bound to ``host:port`` (0 = ephemeral).
 
     The returned server's ``server_address`` carries the actually bound
     port; call ``serve_forever()`` (or wrap in a thread for tests).
     ``job_workers`` bounds concurrent engine runs, ``queue_limit`` bounds
-    waiting jobs (beyond it submits shed with 429),
-    and ``reuse_process_pools`` keeps the sweep engine's process pools
-    alive across requests (``python -m repro.serve`` turns it on).
+    waiting jobs (beyond it submits shed with 429).  Sharded engine runs
+    draw from the process-wide pool of :mod:`repro.sweep.parallel`, which
+    stays up across requests; ``server_close()`` joins the jobs and then
+    shuts that pool down.
     """
     shared = service if service is not None else MixerService()
     return SpecHTTPServer((host, port), SpecRequestHandler, shared,
                           verbose=verbose, job_workers=job_workers,
-                          queue_limit=queue_limit,
-                          reuse_process_pools=reuse_process_pools)
+                          queue_limit=queue_limit)
 
 
 def serve_in_thread(server: ThreadingHTTPServer) -> threading.Thread:
@@ -398,8 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     server = create_server(args.host, args.port, service=service,
                            verbose=args.verbose,
                            job_workers=args.job_workers,
-                           queue_limit=args.queue_limit,
-                           reuse_process_pools=True)
+                           queue_limit=args.queue_limit)
+    # SIGTERM takes Ctrl-C's path, so server_close() joins the jobs and
+    # the process pool instead of orphaning its workers.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     host, port = server.server_address[:2]
     # The smoke harness parses this line to find an ephemeral port.
     print(f"serving on http://{host}:{port}", flush=True)
@@ -409,4 +403,5 @@ def main(argv: list[str] | None = None) -> int:
         pass
     finally:
         server.server_close()
+        signal.signal(signal.SIGTERM, previous)
     return 0

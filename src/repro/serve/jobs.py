@@ -3,7 +3,7 @@
 This is the serving layer's answer to "a single slow ``yield_opt`` request
 monopolises a handler thread": work submitted as a **job** returns a job id
 immediately, executes on a small persistent pool of worker threads shared
-by every request (which in turn draw from the shared process pools of
+by every request (which in turn draw from the one process pool of
 :mod:`repro.sweep.parallel` when ``workers=`` asks for sharding — no
 per-run executor spin-up), and is observable while it runs through the
 :mod:`repro.api.progress` channel: yield-opt iteration history and

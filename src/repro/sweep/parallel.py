@@ -6,11 +6,22 @@ embarrassingly parallel across the design axis: no cell reads another
 cell's state.  :class:`ShardedRunner` exploits that for any engine runner
 with a ``run(..., modes=, designs=)`` method: it splits the design records
 into contiguous shards, runs each shard through an ordinary inline engine
-in a ``concurrent.futures.ProcessPoolExecutor`` worker, and stitches the
-shard outputs back together with :meth:`SweepResult.concat` along the design
-axis.  :class:`ParallelSweepRunner` is its spec-sweep flavour;
+in a process-pool worker, and stitches the shard outputs back together with
+:meth:`SweepResult.concat` along the design axis.
+:class:`ParallelSweepRunner` is its spec-sweep flavour;
 :class:`~repro.waveform.parallel.ParallelWaveformRunner` and
 :class:`~repro.digital.parallel.ParallelDigitalRunner` are the others.
+
+One pool: every sharded run in the process — script, test or server
+request, any engine — maps its shards over a single
+``concurrent.futures.ProcessPoolExecutor`` with ``os.cpu_count()`` workers
+(:func:`shared_pool`), built on first use.  A run's ``workers`` only sets
+how many shards it cuts.  The pool lives until :func:`shutdown_pool` (the
+HTTP server calls it on close) or interpreter exit, when
+``concurrent.futures`` joins it.  If a worker dies, the run that sees it
+raises ``BrokenProcessPool`` and the pool is dropped, so the next run
+builds a fresh one.  Workers fork once per pool, not once per run, so
+module state patched after the pool exists is not seen by them.
 
 Determinism: every cell is computed by exactly the same code path as the
 single-process runner — same maths, same order within a cell — so the
@@ -30,11 +41,12 @@ skips every cell that any previous run or shard already paid for.
 from __future__ import annotations
 
 import os
+import signal
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,75 +57,42 @@ from repro.sweep.grid import DESIGN_AXIS, IF_AXIS, RF_AXIS, SweepAxis
 from repro.sweep.result import SweepResult
 from repro.sweep.runner import SweepRunner
 
-# -- shared process pools ------------------------------------------------------
-#
-# A ProcessPoolExecutor is expensive to spin up (one interpreter fork/spawn
-# per worker), and the historical behaviour — every ParallelSweepRunner.run
-# building and tearing down its own pool — made a busy server pay that cost
-# on every parallel request.  With reuse enabled, pools are process-wide
-# singletons keyed by worker count, built on first use and handed out to
-# every subsequent run; `Executor` instances are thread-safe, so concurrent
-# jobs interleave their shard maps safely.  Reuse is opt-in (the serving
-# layer enables it) because a long-lived pool is server behaviour: one-shot
-# scripts and tests should not leave idle worker processes behind.
-# Bit-identity is untouched either way — `pool.map` preserves task order and
-# every shard runs exactly the same code path.
-
-_POOLS_LOCK = threading.Lock()
-_SHARED_POOLS: dict[int, ProcessPoolExecutor] = {}
-_POOL_REUSE = False
+_POOL_LOCK = threading.Lock()
+_POOL: ProcessPoolExecutor | None = None
 
 
-def set_pool_reuse(enabled: bool) -> None:
-    """Turn process-pool reuse on or off for this process.
+def shared_pool() -> ProcessPoolExecutor:
+    """The process-wide pool, built on first use with ``os.cpu_count()`` workers.
 
-    The serving layer calls ``set_pool_reuse(True)`` at startup so every
-    parallel run (sweep and waveform alike) draws from one persistent pool
-    per worker count instead of spinning up its own.
+    ``Executor`` instances are thread-safe, so concurrent runs interleave
+    their shard maps safely.
     """
-    global _POOL_REUSE
-    _POOL_REUSE = bool(enabled)
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            # Workers get SIGTERM's default back: a server may route it to
+            # KeyboardInterrupt, and a broken pool terminates its workers.
+            _POOL = ProcessPoolExecutor(
+                max_workers=os.cpu_count() or 1, initializer=signal.signal,
+                initargs=(signal.SIGTERM, signal.SIG_DFL))
+        return _POOL
 
 
-def pool_reuse_enabled() -> bool:
-    """Whether parallel runs currently draw from the shared pools."""
-    return _POOL_REUSE
+def shutdown_pool() -> None:
+    """Join and drop the shared pool; the next sharded run builds a new one."""
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown(wait=True)
 
 
-def shared_executor(max_workers: int) -> ProcessPoolExecutor:
-    """The process-wide executor for ``max_workers``, built on first use."""
-    if max_workers < 1:
-        raise ValueError("max_workers must be at least 1")
-    with _POOLS_LOCK:
-        pool = _SHARED_POOLS.get(max_workers)
-        if pool is None:
-            pool = ProcessPoolExecutor(max_workers=max_workers)
-            _SHARED_POOLS[max_workers] = pool
-        return pool
-
-
-def shutdown_shared_pools(wait: bool = True) -> None:
-    """Tear down every shared pool (server shutdown / test cleanup)."""
-    with _POOLS_LOCK:
-        pools = list(_SHARED_POOLS.values())
-        _SHARED_POOLS.clear()
-    for pool in pools:
-        pool.shutdown(wait=wait)
-
-
-@contextmanager
-def executor_for(max_workers: int) -> Iterator[ProcessPoolExecutor]:
-    """A pool for one parallel run: shared when reuse is on, private else.
-
-    Private pools are torn down on exit exactly as before; shared pools
-    outlive the run (that is the point) and are closed by
-    :func:`shutdown_shared_pools`.
-    """
-    if _POOL_REUSE:
-        yield shared_executor(max_workers)
-        return
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        yield pool
+def _drop_broken(pool: ProcessPoolExecutor) -> None:
+    """Forget ``pool`` after a worker died, unless it was already replaced."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is pool:
+            _POOL = None
 
 
 @dataclass(frozen=True)
@@ -154,9 +133,10 @@ class ShardedRunner:
     design:
         Baseline design record, as for the engine.
     workers:
-        Worker process count; ``None`` means ``os.cpu_count()``.  With one
-        worker — or a design axis too short to shard — the run stays inline
-        in this process, no pool spawned.
+        Shard count; ``None`` means ``os.cpu_count()``.  The shards run on
+        the shared pool (:func:`shared_pool`).  With one worker — or a
+        design axis too short to shard — the run stays inline in this
+        process, no pool touched.
     cache:
         On-disk cell cache shared by all shards; same accepted values as the
         engine.  Each worker both reads and extends the shared directory.
@@ -223,7 +203,8 @@ class ShardedRunner:
                 records=tuple(records[start:stop])))
         shards = []
         designs_done = 0
-        with executor_for(shard_count) as pool:
+        pool = shared_pool()
+        try:
             for task, shard in zip(tasks, pool.map(_run_shard, tasks)):
                 shards.append(shard)
                 designs_done += len(task.records)
@@ -233,6 +214,11 @@ class ShardedRunner:
                                 shards_total=len(tasks),
                                 designs_done=designs_done,
                                 designs_total=len(records))
+        except BrokenProcessPool:
+            # A dead worker breaks the whole pool: this run fails, and the
+            # next one builds a fresh pool.
+            _drop_broken(pool)
+            raise
         return type(shards[0]).concat(shards, axis=DESIGN_AXIS)
 
 

@@ -10,6 +10,14 @@ from repro.api import encode
 from repro.api.registry import default_registry
 from repro.core.config import MixerDesign, MixerMode
 from repro.core.reconfigurable_mixer import ReconfigurableMixer
+from repro.sweep.parallel import shutdown_pool
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _process_pool():
+    """Join the shared process pool once the session's last test is done."""
+    yield
+    shutdown_pool()
 
 
 @pytest.fixture(scope="session")

@@ -365,6 +365,26 @@ class TestResponseCache:
         assert not first.cached and not again.cached
 
 
+def _workers_spy_registry(seen: list) -> ExperimentRegistry:
+    """A process-free ``spy`` experiment recording each call's ``workers``."""
+    def run_spy(design, *, value: float = 1.0, workers=None):
+        seen.append(workers)
+        return EchoResult(label=design.fingerprint()[:12], value=value)
+
+    def batch_spy(designs, *, value: float = 1.0, workers=None):
+        seen.append(workers)
+        return {fingerprint: EchoResult(label=fingerprint[:12], value=value)
+                for fingerprint in designs}
+
+    registry = ExperimentRegistry()
+    registry.register(ExperimentSpec(
+        name="spy", artefact="test fixture", summary="captures workers",
+        runner=run_spy, result_type=EchoResult,
+        report=lambda result: "", default_grid={"value": 1.0},
+        accepts_cache=False, batch_runner=batch_spy))
+    return registry
+
+
 def _fig8_spy_registry(calls: list) -> ExperimentRegistry:
     """fig8 with its batch runner wrapped to record each call's size."""
     spec = GLOBAL_REGISTRY.get("fig8")
@@ -446,23 +466,7 @@ class TestBatchSubmission:
         # not make the server hold more pool processes than it has CPUs.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         seen: list = []
-
-        def run_spy(design, *, value: float = 1.0, workers=None):
-            seen.append(workers)
-            return EchoResult(label=design.fingerprint()[:12], value=value)
-
-        def batch_spy(designs, *, value: float = 1.0, workers=None):
-            seen.append(workers)
-            return {fingerprint: EchoResult(label=fingerprint[:12],
-                                            value=value)
-                    for fingerprint in designs}
-
-        registry = ExperimentRegistry()
-        registry.register(ExperimentSpec(
-            name="spy", artefact="test fixture", summary="captures workers",
-            runner=run_spy, result_type=EchoResult,
-            report=lambda result: "", default_grid={"value": 1.0},
-            accepts_cache=False, batch_runner=batch_spy))
+        registry = _workers_spy_registry(seen)
         service = MixerService(registry=registry, response_cache=False)
         service.submit(SpecRequest(experiment="spy", workers=10_000))
         service.submit_batch([SpecRequest(experiment="spy", design=design,
@@ -474,6 +478,19 @@ class TestBatchSubmission:
         defaulted.submit(SpecRequest(experiment="spy", workers=2))
         defaulted.submit(SpecRequest(experiment="spy", grid={"value": 2.0}))
         assert seen == [3, 3, 2, 3]
+
+    def test_batch_groups_on_the_capped_workers(self, monkeypatch):
+        # 4 and 8 both cap to 2 CPUs, so the twins share one engine run;
+        # None and 1 stay apart (test_identical_members_store_one_entry).
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen: list = []
+        service = MixerService(registry=_workers_spy_registry(seen),
+                               response_cache=False)
+        responses = service.submit_batch(
+            [SpecRequest(experiment="spy", workers=workers)
+             for workers in (4, 8)])
+        assert seen == [2]
+        assert responses[0].result_payload == responses[1].result_payload
 
     def test_concurrent_stores_of_one_key_do_not_race(self, tmp_path):
         import threading

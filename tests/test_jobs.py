@@ -3,9 +3,9 @@
 The serve-layer HTTP tests (``tests/test_serve.py``) cover the endpoints;
 this module covers the machinery underneath: :mod:`repro.api.progress`
 scoping semantics, :class:`repro.serve.jobs.JobManager` lifecycle /
-backpressure / failure classification, the locked
-:meth:`ResponseCache.stats` snapshot, and shared process-pool reuse in the
-sweep engine.
+backpressure / failure classification and the locked
+:meth:`ResponseCache.stats` snapshot.  The process pool under sharded runs
+has its own module, ``tests/test_process_pool.py``.
 """
 
 from __future__ import annotations
@@ -558,32 +558,3 @@ class TestResponseCacheStats:
             for thread in threads:
                 thread.join()
 
-
-class TestSharedPools:
-    def test_reuse_is_bit_identical_and_reuses_executor(self):
-        import numpy as np
-        from repro.sweep.parallel import (
-            ParallelSweepRunner,
-            pool_reuse_enabled,
-            set_pool_reuse,
-            shared_executor,
-            shutdown_shared_pools,
-        )
-        from repro.core.config import MixerDesign
-
-        designs = {"a": MixerDesign(),
-                   "b": MixerDesign().with_gain_setting(1.05)}
-        runner = ParallelSweepRunner(workers=2, cache=False)
-        baseline = runner.run(rf_frequencies=[2.4e9], designs=designs)
-        assert not pool_reuse_enabled()
-        set_pool_reuse(True)
-        try:
-            first_pool = shared_executor(2)
-            shared = runner.run(rf_frequencies=[2.4e9], designs=designs)
-            assert shared_executor(2) is first_pool  # reused, not respawned
-            for spec in baseline.spec_names:
-                np.testing.assert_array_equal(shared.data[spec],
-                                              baseline.data[spec])
-        finally:
-            set_pool_reuse(False)
-            shutdown_shared_pools()

@@ -47,7 +47,9 @@ request shapes:
   server must come back as ``source: "disk-cache"`` with a byte-identical
   result, the directory holding no ``*.json`` entry;
 * ``GET /v1/metrics`` — the latency/counter snapshot must account for the
-  traffic this script just generated.
+  traffic this script just generated;
+* shutdown — each server is stopped with SIGTERM, and no process it
+  started (its pool workers) may outlive it.
 
 Any difference — a float, an axis label, a schema field — is a failure.
 
@@ -607,18 +609,55 @@ def main() -> int:
         return status or check_warm_engine_cache(env, spec_cache)
 
 
-def stop_server(process: subprocess.Popen) -> None:
-    """Interrupt the server so it closes its process pool, then reap it.
+def _state_and_parent(pid: int) -> tuple[str, int] | None:
+    """A process's state letter and parent pid from ``/proc``, if it exists."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    state, ppid = stat[stat.rindex(")") + 2:].split()[:2]
+    return state, int(ppid)
 
-    SIGTERM would kill the server alone and orphan the pool workers that
-    the ``workers: 2`` batches started.
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie (exited, not yet reaped) is dead."""
+    found = _state_and_parent(pid)
+    return found is not None and found[0] != "Z"
+
+
+def _live_children(pid: int) -> list[int]:
+    """The running processes whose parent is ``pid``."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            found = _state_and_parent(int(entry.name))
+            if found is not None and found[0] != "Z" and found[1] == pid:
+                children.append(int(entry.name))
+    return children
+
+
+def stop_server(process: subprocess.Popen) -> None:
+    """SIGTERM the server, reap it, and fail if any of its children lives on.
+
+    ``python -m repro.serve`` treats SIGTERM like Ctrl-C: it joins its jobs
+    and shuts its process pool down before it exits.  So every process it
+    had started (the pool workers of the ``workers: 2`` batches) must be
+    gone once it has exited; a survivor is an orphaned worker.
     """
-    process.send_signal(signal.SIGINT)
+    children = _live_children(process.pid)
+    process.send_signal(signal.SIGTERM)
     try:
         process.wait(timeout=10)
     except subprocess.TimeoutExpired:
         process.kill()
         process.wait(timeout=10)
+        raise RuntimeError("the server ignored SIGTERM for 10 s")
+    orphans = [pid for pid in children if _alive(pid)]
+    for pid in orphans:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    if orphans:
+        raise RuntimeError(f"server children {orphans} outlived it")
 
 
 if __name__ == "__main__":
