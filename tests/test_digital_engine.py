@@ -16,6 +16,7 @@ The acceptance bars, straight from the subsystem's contract:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -32,7 +33,20 @@ from repro.digital import (
 )
 from repro.sweep.montecarlo import DeviceSpread, sample_design
 
+from api_test_helpers import SMALL_GRIDS
+
 SMALL_BITS = (6, 10, 14)
+
+#: SHA-256 of the sorted-key JSON of each encoded result payload, at the
+#: paper design, for the default grid and the SMALL_GRIDS grid.
+PAYLOAD_SHA256 = {
+    "bits_floor": (
+        "414910b6fd3bcd52bfb91c11cbb0297fcc56323e35e9919c1c95286bb3b9bcb8",
+        "cdb9fdd7f713c58421d1cb96bde99a5292d87f0f30515b4c81ebe0ab08ef1d4f"),
+    "digital_if": (
+        "adee5c211abc7c6c707f52d61d90e20c58d528ecb37e5debb1ce472a18833063",
+        "0de471a7c4b4b5db87533c5f6132b0bd00e019bf1a289c9b82303558e4da511b"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +274,45 @@ class TestDigitalExperiments:
     def test_registry_serves_both_digital_experiments(self, registry):
         names = set(registry.names())
         assert {"digital_if", "bits_floor"} <= names
+
+
+class TestDigitalPins:
+    """Payload bytes and engine work counts of the two digital drivers."""
+
+    @staticmethod
+    def _sha256(result) -> str:
+        from repro.api.serialization import encode
+
+        text = json.dumps(encode(result), sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(PAYLOAD_SHA256))
+    def test_payload_bytes(self, registry, name):
+        runner = registry.get(name).runner
+        default, small = PAYLOAD_SHA256[name]
+        assert self._sha256(runner()) == default
+        assert self._sha256(runner(**SMALL_GRIDS[name])) == small
+
+    @pytest.mark.parametrize("name, passes", [("bits_floor", 34),
+                                              ("digital_if", 2)])
+    def test_cold_run_pass_count(self, registry, design, name, passes):
+        before = digital_pass_count()
+        registry.get(name).runner(design)
+        assert digital_pass_count() - before == passes
+
+    def test_bits_floor_warm_cache_skips_passes_and_solves(self, design,
+                                                           tmp_path):
+        from repro.core.transconductance import sizing_solve_count
+        from repro.experiments import run_bits_floor
+
+        grid = SMALL_GRIDS["bits_floor"]
+        first = run_bits_floor(design, cache=str(tmp_path), **grid)
+        passes = digital_pass_count()
+        solves = sizing_solve_count()
+        again = run_bits_floor(design, cache=str(tmp_path), **grid)
+        assert digital_pass_count() == passes
+        assert sizing_solve_count() == solves
+        assert self._sha256(again) == self._sha256(first)
 
 
 class TestDigitalYieldTargets:
