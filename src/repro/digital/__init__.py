@@ -14,7 +14,7 @@ maths riding the same sweep architecture as the analog benches:
   stimulus plus every bit width and the CIC shape) with the
   :func:`digital_if_plan` constructor;
 * :mod:`repro.digital.engine` — :func:`evaluate_digital` (one vectorized
-  pass evaluating **every ADC bit width at once**) and
+  pass evaluating **every lane of a plan at once**) and
   :class:`DigitalIfRunner`, which lifts it onto labelled design x mode x
   bits grids over the waveform engine's time-domain tap;
   :func:`digital_pass_count` instruments the passes;

@@ -206,22 +206,24 @@ def wrap_to_width(values: np.ndarray, width: np.ndarray | int) -> np.ndarray:
 # -- complex mixing -----------------------------------------------------------
 
 def mix_complex(codes: np.ndarray, lo_i: np.ndarray, lo_q: np.ndarray,
-                adc_bits: np.ndarray | int, lo_bits: int, guard_bits: int
+                adc_bits: np.ndarray | int, lo_bits: np.ndarray | int,
+                guard_bits: np.ndarray | int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ADC codes times the quantized LO, kept to ``adc_bits + guard_bits``.
 
     The Bedrock product discipline: of the ``adc_bits + lo_bits`` product
     bits, keep the top ``adc_bits + guard_bits`` (shift out ``lo_bits - 1
-    - guard_bits`` LSBs with rounding) and wrap into that register.
+    - guard_bits`` LSBs with rounding) and wrap into that register.  The
+    three widths broadcast, so each leading row may have its own.
     Returns ``(i, q, overflow_fraction)`` where the fraction (per leading
     row) counts samples whose true product did not fit the register —
     the guard-bit overflow the ``bits_floor`` experiment watches for.
     """
-    adc_bits = np.asarray(adc_bits, dtype=np.int64)
-    shift = int(lo_bits) - 1 - int(guard_bits)
-    if shift < 0:
+    guard_bits = np.asarray(guard_bits, dtype=np.int64)
+    shift = np.asarray(lo_bits, dtype=np.int64) - 1 - guard_bits
+    if np.any(shift < 0):
         raise ValueError("guard_bits must not exceed lo_bits - 1")
-    width = adc_bits + int(guard_bits)
+    width = np.asarray(adc_bits, dtype=np.int64) + guard_bits
     full_i = round_shift(codes * lo_i, shift)
     full_q = round_shift(codes * lo_q, shift)
     i_mix = wrap_to_width(full_i, width)

@@ -1,4 +1,4 @@
-"""The quantized digital-IF engine: ADC -> NCO mix -> CIC, batched over bits.
+"""The quantized digital-IF engine: ADC -> NCO mix -> CIC, batched over lanes.
 
 :func:`evaluate_digital` runs one :class:`~repro.digital.plan.DigitalIfPlan`
 against one tapped IF sample block (from
@@ -8,14 +8,14 @@ array maths — no per-sample Python loop anywhere:
 * the analog record is subsampled to the ADC rate and tiled ``records + 1``
   times (the first copy is CIC warm-up, discarded after decimation, so the
   analysed window is pure decimator steady state);
-* the mid-rise quantizer broadcasts a ``(bits, 1)`` width column against
-  the sample row, so **every ADC resolution in the sweep quantizes in one
-  vectorized pass** — the whole bit-width axis costs one evaluation, which
-  is the efficiency argument for putting quantization on the sweep
-  architecture at all;
-* one NCO phase/LO-table computation and one CIC pass (exact modulo-2**64
-  integer arithmetic, per-bits register widths broadcast) serve every
-  resolution simultaneously;
+* each plan lane is one row: the mid-rise quantizer broadcasts a
+  ``(lanes, 1)`` ADC width column against the sample row, so **every lane
+  of the plan quantizes in one vectorized pass** — a whole width sweep
+  costs one evaluation, which is the efficiency argument for putting
+  quantization on the sweep architecture at all;
+* one NCO phase sequence, one LO table per distinct ``lo_bits`` (gathered
+  onto its lanes) and one CIC pass (exact modulo-2**64 integer arithmetic,
+  per-lane register and output widths broadcast) serve every lane;
 * the float reference chain — the same tiled volts through an ideal
   full-precision LO and a float CIC — runs alongside, yielding the
   ``float_error_peak`` convergence measure directly.
@@ -50,7 +50,7 @@ from repro.digital.blocks import (
     wrap_to_width,
 )
 from repro.digital.cache import DigitalIfCache
-from repro.digital.plan import DigitalIfPlan
+from repro.digital.plan import LANE_WIDTHS, DigitalIfPlan
 from repro.digital.result import BITS_AXIS, DigitalResult
 from repro.sweep.cache import fill_cached_measures, resolve_cache
 from repro.sweep.grid import SweepAxis
@@ -64,9 +64,9 @@ _DIGITAL_EVALS = 0
 def digital_pass_count() -> int:
     """How many batched quantization passes this process has performed.
 
-    One unit covers a whole ADC bit-width sweep for one (design, mode,
-    plan) cell — quantizer, NCO mix, CIC and the float reference.  A warm
-    digital cache must leave this counter untouched.
+    One unit covers every lane of one (design, mode, plan) cell —
+    quantizer, NCO mix, CIC and the float reference.  A warm digital cache
+    must leave this counter untouched.
     """
     return _DIGITAL_EVALS
 
@@ -85,7 +85,7 @@ def evaluate_digital(plan: DigitalIfPlan,
     ``(num_samples,)``) differential IF voltage record from the waveform
     tap.  Returns one float array per measure in
     :data:`~repro.digital.plan.DIGITAL_MEASURES`, each with one entry per
-    ADC bit width — all widths evaluated in a single vectorized pass.
+    plan lane — all lanes evaluated in a single vectorized pass.
     """
     global _DIGITAL_EVALS
     volts = np.asarray(if_block, dtype=float)
@@ -100,41 +100,45 @@ def evaluate_digital(plan: DigitalIfPlan,
             f"record holds {plan.stimulus.num_samples}")
 
     # ADC: subsample to the converter rate, tile one warm-up record plus
-    # the steady-state window, quantize every bit width in one broadcast.
+    # the steady-state window, quantize every lane in one broadcast.
     adc_volts = np.tile(volts[::plan.adc_stride], plan.records + 1)
-    bits_col = np.asarray(plan.adc_bits, dtype=np.int64)[:, None]
+    bits_col, lo_col, guard_col, out_col = (
+        plan.widths(name) for name in ("adc_bits",) + LANE_WIDTHS)
     codes = quantize_midrise(adc_volts[None, :], bits_col,
                              plan.adc_full_scale)
 
-    # NCO + mixer: one phase sequence and LO table serve every width.
+    # NCO + mixer: one phase sequence, one LO table per distinct lo_bits
+    # gathered onto the lanes that use it.
     total = adc_volts.shape[-1]
     phases = nco_phases(plan.phase_increment(), total, plan.phase_bits)
-    lo_i, lo_q = nco_lo_codes(phases, plan.phase_bits, plan.table_bits,
-                              plan.lo_bits)
-    i_mix, q_mix, overflow = mix_complex(codes, lo_i[None, :], lo_q[None, :],
-                                         bits_col, plan.lo_bits,
-                                         plan.guard_bits)
+    lo_lanes = lo_col[:, 0].tolist()
+    tables = sorted(set(lo_lanes))
+    lo_i, lo_q = np.stack([
+        nco_lo_codes(phases, plan.phase_bits, plan.table_bits, bits)
+        for bits in tables], axis=1)[:, [tables.index(b) for b in lo_lanes]]
+    i_mix, q_mix, overflow = mix_complex(codes, lo_i, lo_q, bits_col,
+                                         lo_col, guard_col)
 
-    # CIC decimation at per-width register widths, then the output shift
-    # into the common output register; the first record's worth of output
+    # CIC decimation at per-lane register widths, then the output shift
+    # into each lane's output register; the first record's worth of output
     # samples is decimator warm-up and dropped.
-    width_col = bits_col + plan.guard_bits + plan.growth_bits
+    width_col = bits_col + guard_col + plan.growth_bits
     decimation, stages = plan.cic_decimation, plan.cic_stages
     i_dec = cic_decimate(i_mix, decimation, stages, width_col)
     q_dec = cic_decimate(q_mix, decimation, stages, width_col)
-    out_shift = np.maximum(width_col - plan.output_bits, 0)
-    i_out = wrap_to_width(round_shift(i_dec, out_shift), plan.output_bits)
-    q_out = wrap_to_width(round_shift(q_dec, out_shift), plan.output_bits)
+    out_shift = np.maximum(width_col - out_col, 0)
+    i_out = wrap_to_width(round_shift(i_dec, out_shift), out_col)
+    q_out = wrap_to_width(round_shift(q_dec, out_shift), out_col)
     warmup = plan.warmup_samples
     i_out, q_out = i_out[:, warmup:], q_out[:, warmup:]
 
     # Volts-referred output: one LSB at the ADC is adc_full_scale*2/2**bits,
-    # the mixer shifted out mix_shift LSBs of an LO scaled to 2**(lo-1)-1,
+    # the mixer shifted out lo-1-guard LSBs of an LO scaled to 2**(lo-1)-1,
     # the CIC has DC gain decimation**stages, and out_shift dropped more.
     lsb = 2.0 * plan.adc_full_scale / np.exp2(bits_col.astype(float))
-    scale = (lsb * np.exp2(float(plan.mix_shift))
+    scale = (lsb * np.exp2((lo_col - 1 - guard_col).astype(float))
              * np.exp2(out_shift.astype(float))
-             / (float((1 << (plan.lo_bits - 1)) - 1)
+             / (((1 << (lo_col - 1)) - 1).astype(float)
                 * float(decimation) ** stages))
     digital_volts = (i_out + 1j * q_out) * scale
 

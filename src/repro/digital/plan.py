@@ -14,13 +14,14 @@ stimulus plans, digital plans are frozen records of plain numbers, so they
   covers the analog bench and every digital parameter in one digest — and
 * round-trip exactly through :meth:`to_dict` / :meth:`from_dict`.
 
-The ``adc_bits`` field is a *tuple* of widths: the quantizer, mixer and
-CIC all broadcast over a leading bit-width axis, so one plan evaluates a
-whole ADC-resolution sweep in a single vectorized pass.  Validation is
-deliberately strict — non-integer NCO increments, off-bin basebands,
-register budgets past 62 bits or decimators that do not divide the record
-are refused at construction, because each would silently corrupt the
-exact-arithmetic guarantees downstream.
+A plan is a table of *lanes*, one per ``adc_bits`` entry; ``lo_bits``,
+``guard_bits`` and ``output_bits`` hold one int (every lane) or one width
+per lane.  The quantizer, mixer and CIC broadcast over the lane axis, so
+one plan evaluates a whole width sweep in a single vectorized pass.
+Validation is deliberately strict — non-integer NCO increments, off-bin
+basebands, a lane's registers past 62 bits or decimators that do not
+divide the record are refused at construction, because each would
+silently corrupt the exact-arithmetic guarantees downstream.
 """
 
 from __future__ import annotations
@@ -66,6 +67,16 @@ DEFAULT_ADC_FULL_SCALE = 1.25
 #: modelled in 64-bit arithmetic with two sign/rounding bits in hand.
 _REGISTER_BUDGET = 62
 
+#: The widths a plan may give per lane (an int applies to every lane).
+LANE_WIDTHS = ("lo_bits", "guard_bits", "output_bits")
+
+
+def _lane_width(value) -> int | tuple[int, ...]:
+    """One width for every lane (an int) or one per lane (a tuple)."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return tuple(int(b) for b in value)
+
 
 @dataclass(frozen=True)
 class DigitalIfPlan:
@@ -87,22 +98,23 @@ class DigitalIfPlan:
         the analysed window holds exactly ``records`` periods in decimator
         steady state.
     adc_bits:
-        The swept ADC resolutions — the bit-width axis of the resulting
-        :class:`~repro.digital.result.DigitalResult`.
+        Each lane's ADC resolution — the bit-width axis of the resulting
+        :class:`~repro.digital.result.DigitalResult`.  Distinct unless a
+        :data:`LANE_WIDTHS` field is per-lane.
     adc_full_scale:
         Converter full scale in volts peak (mid-rise codes clip outside
         ``±adc_full_scale``).
     lo_bits / phase_bits / table_bits:
-        NCO quantization: LO sample width, phase-accumulator width and the
-        number of accumulator MSBs addressing the LO lookup.
+        NCO quantization: LO sample width (per lane), phase-accumulator
+        width and the number of accumulator MSBs addressing the LO lookup.
     guard_bits:
         Growth bits retained past the ADC width in the mixer product
-        (register width ``adc_bits + guard_bits``).
+        (register width ``adc_bits + guard_bits``), per lane.
     cic_stages / cic_decimation:
         The CIC decimator order and rate change.
     output_bits:
-        Output register width; the CIC result is right-shifted (with
-        rounding) into it.
+        Output register width, per lane; the CIC result is right-shifted
+        (with rounding) into it.
     nco_frequency_hz:
         Digital LO frequency; must be exactly representable in
         ``phase_bits`` at the ADC rate.
@@ -113,13 +125,13 @@ class DigitalIfPlan:
     records: int
     adc_bits: tuple[int, ...]
     adc_full_scale: float
-    lo_bits: int
+    lo_bits: int | tuple[int, ...]
     phase_bits: int
     table_bits: int
-    guard_bits: int
+    guard_bits: int | tuple[int, ...]
     cic_stages: int
     cic_decimation: int
-    output_bits: int
+    output_bits: int | tuple[int, ...]
     nco_frequency_hz: float
 
     def __post_init__(self) -> None:
@@ -145,24 +157,19 @@ class DigitalIfPlan:
             raise ValueError("need at least one steady-state record")
         if not self.adc_bits:
             raise ValueError("need at least one ADC bit width")
-        if any(bits < 2 for bits in self.adc_bits):
-            raise ValueError("ADC widths must be at least 2 bits")
-        if len(set(self.adc_bits)) != len(self.adc_bits):
+        per_lane = [name for name in LANE_WIDTHS
+                    if isinstance(getattr(self, name), tuple)]
+        for name in per_lane:
+            if len(getattr(self, name)) != len(self.adc_bits):
+                raise ValueError(f"{name} needs one width per ADC lane")
+        if not per_lane and len(set(self.adc_bits)) != len(self.adc_bits):
             raise ValueError("ADC bit widths must be distinct")
         if self.adc_full_scale <= 0:
             raise ValueError("ADC full scale must be positive")
-        if not 2 <= self.lo_bits <= 32:
-            raise ValueError("lo_bits must lie in [2, 32]")
         if not 1 <= self.phase_bits <= 48:
             raise ValueError("phase_bits must lie in [1, 48]")
         if not 1 <= self.table_bits <= self.phase_bits:
             raise ValueError("table_bits must lie in [1, phase_bits]")
-        if not 0 <= self.guard_bits <= self.lo_bits - 1:
-            raise ValueError("guard_bits must lie in [0, lo_bits - 1]")
-        if max(self.adc_bits) + self.lo_bits > _REGISTER_BUDGET:
-            raise ValueError(
-                f"adc_bits + lo_bits products must fit {_REGISTER_BUDGET} "
-                f"bits, got {max(self.adc_bits)} + {self.lo_bits}")
         if self.cic_stages < 1:
             raise ValueError("need at least one CIC stage")
         if self.cic_decimation < 1:
@@ -176,15 +183,26 @@ class DigitalIfPlan:
             raise ValueError("each record must cover the CIC's impulse "
                              "response: need samples_per_record >= "
                              "cic_stages * cic_decimation")
-        widest = self.register_width(max(self.adc_bits))
-        if widest > _REGISTER_BUDGET:
-            raise ValueError(
-                f"CIC register width {widest} exceeds the "
-                f"{_REGISTER_BUDGET}-bit exact-arithmetic budget "
-                f"(adc {max(self.adc_bits)} + guard {self.guard_bits} + "
-                f"growth {self.growth_bits})")
-        if not 2 <= self.output_bits <= _REGISTER_BUDGET:
-            raise ValueError(f"output_bits must lie in [2, {_REGISTER_BUDGET}]")
+        budget, growth = _REGISTER_BUDGET, self.growth_bits
+        columns = (self.widths(name)[:, 0].tolist()
+                   for name in ("adc_bits",) + LANE_WIDTHS)
+        for lane, (adc, lo, guard, out) in enumerate(zip(*columns)):
+            for broken, problem in (
+                    (adc < 2, "ADC widths must be at least 2 bits"),
+                    (not 2 <= lo <= 32, "lo_bits must lie in [2, 32]"),
+                    (not 0 <= guard < lo,
+                     "guard_bits must lie in [0, lo_bits - 1]"),
+                    (adc + lo > budget,
+                     f"adc_bits + lo_bits products must fit {budget} bits, "
+                     f"got {adc} + {lo}"),
+                    (adc + guard + growth > budget,
+                     f"CIC register width {adc + guard + growth} exceeds "
+                     f"the {budget}-bit exact-arithmetic budget (adc {adc} "
+                     f"+ guard {guard} + growth {growth})"),
+                    (not 2 <= out <= budget,
+                     f"output_bits must lie in [2, {budget}]")):
+                if broken:
+                    raise ValueError(f"lane {lane}: {problem}")
         # Refuses non-representable NCO frequencies (exact-increment check).
         self.phase_increment()
         bins = self.baseband_frequency * self.output_samples \
@@ -245,18 +263,15 @@ class DigitalIfPlan:
         return int(bins) % self.output_samples
 
     @property
-    def mix_shift(self) -> int:
-        """LSBs dropped from each mixer product (``lo_bits-1-guard_bits``)."""
-        return self.lo_bits - 1 - self.guard_bits
-
-    @property
     def growth_bits(self) -> int:
         """Hogenauer register growth of the configured CIC."""
         return cic_growth_bits(self.cic_stages, self.cic_decimation)
 
-    def register_width(self, adc_bits: int) -> int:
-        """CIC register width for one ADC resolution."""
-        return int(adc_bits) + self.guard_bits + self.growth_bits
+    def widths(self, name: str) -> np.ndarray:
+        """Each lane's ``name`` width as an ``(lanes, 1)`` int64 column."""
+        column = np.empty((len(self.adc_bits), 1), dtype=np.int64)
+        column[:, 0] = getattr(self, name)
+        return column
 
     def phase_increment(self) -> int:
         """The NCO accumulator increment (validated exact)."""
@@ -282,13 +297,13 @@ class DigitalIfPlan:
             "records": int(self.records),
             "adc_bits": [int(b) for b in self.adc_bits],
             "adc_full_scale": float(self.adc_full_scale),
-            "lo_bits": int(self.lo_bits),
+            "lo_bits": _lane_width(self.lo_bits),
             "phase_bits": int(self.phase_bits),
             "table_bits": int(self.table_bits),
-            "guard_bits": int(self.guard_bits),
+            "guard_bits": _lane_width(self.guard_bits),
             "cic_stages": int(self.cic_stages),
             "cic_decimation": int(self.cic_decimation),
-            "output_bits": int(self.output_bits),
+            "output_bits": _lane_width(self.output_bits),
             "nco_frequency_hz": float(self.nco_frequency_hz),
         }
 
@@ -304,13 +319,13 @@ class DigitalIfPlan:
             records=int(payload["records"]),
             adc_bits=tuple(int(b) for b in payload["adc_bits"]),
             adc_full_scale=float(payload["adc_full_scale"]),
-            lo_bits=int(payload["lo_bits"]),
+            lo_bits=_lane_width(payload["lo_bits"]),
             phase_bits=int(payload["phase_bits"]),
             table_bits=int(payload["table_bits"]),
-            guard_bits=int(payload["guard_bits"]),
+            guard_bits=_lane_width(payload["guard_bits"]),
             cic_stages=int(payload["cic_stages"]),
             cic_decimation=int(payload["cic_decimation"]),
-            output_bits=int(payload["output_bits"]),
+            output_bits=_lane_width(payload["output_bits"]),
             nco_frequency_hz=float(payload["nco_frequency_hz"]),
         )
 
@@ -336,13 +351,13 @@ def digital_if_plan(rf_frequency: float = 2.405e9,
                     records: int = 8,
                     adc_bits: Sequence[int] = (4, 6, 8, 10, 12, 14, 16),
                     adc_full_scale: float = DEFAULT_ADC_FULL_SCALE,
-                    lo_bits: int = 16,
+                    lo_bits: int | Sequence[int] = 16,
                     phase_bits: int = 32,
                     table_bits: int = 14,
-                    guard_bits: int = 4,
+                    guard_bits: int | Sequence[int] = 4,
                     cic_stages: int = 3,
                     cic_decimation: int = 20,
-                    output_bits: int = 16,
+                    output_bits: int | Sequence[int] = 16,
                     nco_frequency_hz: float = 3.75e6) -> DigitalIfPlan:
     """The canonical digital-IF bench over the paper's frequency plan.
 
@@ -366,12 +381,12 @@ def digital_if_plan(rf_frequency: float = 2.405e9,
         records=int(records),
         adc_bits=tuple(int(b) for b in adc_bits),
         adc_full_scale=float(adc_full_scale),
-        lo_bits=int(lo_bits),
+        lo_bits=_lane_width(lo_bits),
         phase_bits=int(phase_bits),
         table_bits=int(table_bits),
-        guard_bits=int(guard_bits),
+        guard_bits=_lane_width(guard_bits),
         cic_stages=int(cic_stages),
         cic_decimation=int(cic_decimation),
-        output_bits=int(output_bits),
+        output_bits=_lane_width(output_bits),
         nco_frequency_hz=float(nco_frequency_hz),
     )

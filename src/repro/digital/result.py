@@ -29,7 +29,7 @@ class DigitalResult(SweepResult):
     """Labelled digital-IF measures over design x mode x ADC bits."""
 
     def adc_bits(self) -> np.ndarray:
-        """The swept converter resolutions, the plan's bit-width axis."""
+        """Each plan lane's converter resolution, the bit-width axis."""
         return self.axis(BITS_AXIS).as_array()
 
     def bits_curve(self, measure: str, **selectors) -> tuple[np.ndarray,

@@ -16,28 +16,23 @@ the decimated output rate).  Each width axis is scanned in isolation with
 the other two held generously wide, so the reported minimum reflects that
 stage's own quantization, not another stage's ceiling.
 
-Every scan point is one cached digital-engine evaluation over the *same*
-memoized analog tap — the mixer waveform is computed once per (design,
-mode) and re-quantized cheaply, which is what makes a three-axis width
-search affordable.  :func:`sweep_bits_floor` evaluates whole design
-populations as one design axis (the ``bits_floor`` batch adapter).
+Every scan point is one lane of a single digital plan: the three scans run
+as one integer pass per (design, mode) over the memoized analog tap, and
+that pass is cached as one cell.  :func:`sweep_bits_floor` evaluates whole
+design populations as one design axis (the ``bits_floor`` batch adapter).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.api.registry import register_experiment
 from repro.core.config import MixerDesign, MixerMode
-from repro.digital import (
-    DigitalResult,
-    ParallelDigitalRunner,
-    digital_if_plan,
-)
+from repro.digital import ParallelDigitalRunner, digital_if_plan
 from repro.experiments.common import design_and_runner
 from repro.sweep import SpecCache
 from repro.units import ghz, mhz
@@ -50,6 +45,10 @@ DEFAULT_OUTPUT_CANDIDATES = (6, 8, 10, 12, 14, 16, 20, 24)
 #: Generous widths holding the non-scanned stages out of the way.
 _WIDE_LO_BITS = 24
 _WIDE_OUTPUT_BITS = 32
+#: The canonical bench's mixer guard bits (capped at ``lo_bits - 1``).
+_GUARD_BITS = 4
+#: The scanned stages, in lane order; each names four ModeBitsFloor fields.
+_SCAN_AXES = ("adc", "lo", "output")
 
 
 @dataclass
@@ -133,21 +132,20 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
                      ) -> dict[str, BitsFloorResult]:
     """The width-minimum scan for many designs as **one** design axis.
 
-    Every scan point runs the whole design population through one
-    digital-engine call; per-design results are bit-identical to solo
-    :func:`run_bits_floor` calls.  This is the batch adapter
-    :class:`~repro.api.service.MixerService` fans design populations out
-    through.  With a warm ``cache=`` the whole three-axis scan performs
-    zero quantization passes.
+    Every scan point is one lane of one digital plan, run over the whole
+    design population in one digital-engine call; per-design results are
+    bit-identical to solo :func:`run_bits_floor` calls.  This is the batch
+    adapter :class:`~repro.api.service.MixerService` fans design
+    populations out through.  With a warm ``cache=`` the whole three-axis
+    scan performs zero quantization passes.
     """
     if not designs:
         raise ValueError("sweep_bits_floor needs at least one design")
     if margin_db < 0:
         raise ValueError("margin_db must be non-negative")
-    adc_candidates = tuple(int(b) for b in adc_candidates)
-    lo_candidates = tuple(int(b) for b in lo_candidates)
-    output_candidates = tuple(int(b) for b in output_candidates)
-    if not adc_candidates or not lo_candidates or not output_candidates:
+    scans = tuple(tuple(int(b) for b in axis) for axis in
+                  (adc_candidates, lo_candidates, output_candidates))
+    if not all(scans):
         raise ValueError("every candidate axis needs at least one width")
 
     baseline, runner = design_and_runner(
@@ -159,31 +157,28 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
     digital = ParallelDigitalRunner.for_workers(baseline, workers=workers,
                                                 cache=cache)
 
-    # The ADC scan sweeps all candidate resolutions in one vectorized pass
-    # (the bits axis); the LO and output scans re-quantize the same memoized
-    # tap at the widest ADC so only the scanned stage limits the noise.  A
-    # fourth CIC stage steepens the real-IF image rejection past the
-    # quantization floors being measured — with the artefact bench's three
-    # stages the decimator's own image spur caps every curve near -75 dBm.
-    base = digital_if_plan(rf_frequency=rf_frequency_hz,
+    # One lane per scan point, as (adc, lo, guard, output) widths.  The ADC
+    # lanes hold the LO and output wide; the LO and output lanes run the
+    # widest ADC so only the scanned stage limits the noise.  Repeated
+    # lanes are kept, so each scan reads one contiguous slice.  A fourth
+    # CIC stage steepens the real-IF image rejection past the quantization
+    # floors being measured — with the artefact bench's three stages the
+    # decimator's own image spur caps every curve near -75 dBm.
+    adc_scan, lo_scan, output_scan = scans
+    widest = max(adc_scan)
+    lanes = ([(b, _WIDE_LO_BITS, _GUARD_BITS, _WIDE_OUTPUT_BITS)
+              for b in adc_scan]
+             + [(widest, b, min(_GUARD_BITS, b - 1), _WIDE_OUTPUT_BITS)
+                for b in lo_scan]
+             + [(widest, _WIDE_LO_BITS, _GUARD_BITS, b) for b in output_scan])
+    adc, lo, guard, output = zip(*lanes)
+    plan = digital_if_plan(rf_frequency=rf_frequency_hz,
                            lo_frequency=lo_frequency_hz,
-                           input_power_dbm=input_power_dbm,
-                           adc_bits=adc_candidates,
-                           lo_bits=_WIDE_LO_BITS,
-                           output_bits=_WIDE_OUTPUT_BITS,
+                           input_power_dbm=input_power_dbm, adc_bits=adc,
+                           lo_bits=lo, guard_bits=guard, output_bits=output,
                            cic_stages=4)
-    widest = (max(adc_candidates),)
-    adc_scan = digital.run(base, modes=modes, designs=dict(designs))
-    lo_scans: dict[int, DigitalResult] = {}
-    for bits in lo_candidates:
-        plan = replace(base, lo_bits=bits, adc_bits=widest,
-                       guard_bits=min(base.guard_bits, bits - 1))
-        lo_scans[bits] = digital.run(plan, modes=modes, designs=dict(designs))
-    output_scans: dict[int, DigitalResult] = {}
-    for bits in output_candidates:
-        plan = replace(base, output_bits=bits, adc_bits=widest)
-        output_scans[bits] = digital.run(plan, modes=modes,
-                                         designs=dict(designs))
+    scan = digital.run(plan, modes=modes, designs=dict(designs))
+    edges = np.cumsum([len(adc_scan), len(lo_scan)])
 
     results: dict[str, BitsFloorResult] = {}
     for label in designs:
@@ -193,57 +188,33 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
                                   mode=mode)
             nf = analytic.value("noise_figure_db", design=label, mode=mode)
             floor = (-174.0
-                     + 10.0 * math.log10(base.output_sample_rate)
+                     + 10.0 * math.log10(plan.output_sample_rate)
                      + nf + gain)
-            threshold = floor - margin_db
-            adc_noise = adc_scan.values("noise_dbm", design=label, mode=mode)
-            adc_snr = adc_scan.values("snr_db", design=label, mode=mode)
-            lo_noise = np.array([
-                lo_scans[bits].value("noise_dbm", design=label, mode=mode)
-                for bits in lo_candidates])
-            lo_snr = np.array([
-                lo_scans[bits].value("snr_db", design=label, mode=mode)
-                for bits in lo_candidates])
-            output_noise = np.array([
-                output_scans[bits].value("noise_dbm", design=label,
-                                         mode=mode)
-                for bits in output_candidates])
-            output_snr = np.array([
-                output_scans[bits].value("snr_db", design=label, mode=mode)
-                for bits in output_candidates])
+            noise = np.split(scan.values("noise_dbm", design=label,
+                                         mode=mode), edges)
+            snr = np.split(scan.values("snr_db", design=label, mode=mode),
+                           edges)
+            curves = {}
+            for axis, widths, noise_dbm, snr_db in zip(
+                    _SCAN_AXES, scans, noise, snr):
+                widths = np.asarray(widths, dtype=float)
+                curves.update({
+                    f"{axis}_candidates": widths,
+                    f"noise_dbm_vs_{axis}": noise_dbm,
+                    f"snr_db_vs_{axis}": snr_db,
+                    f"min_{axis}_bits": _first_meeting(
+                        widths, noise_dbm, snr_db, floor - margin_db)})
             per_mode[mode] = ModeBitsFloor(
-                mode=mode,
-                conversion_gain_db=gain,
-                noise_figure_db=nf,
-                analog_floor_dbm=floor,
-                margin_db=float(margin_db),
-                adc_candidates=np.asarray(adc_candidates, dtype=float),
-                noise_dbm_vs_adc=adc_noise,
-                snr_db_vs_adc=adc_snr,
-                min_adc_bits=_first_meeting(
-                    np.asarray(adc_candidates, dtype=float), adc_noise,
-                    adc_snr, threshold),
-                lo_candidates=np.asarray(lo_candidates, dtype=float),
-                noise_dbm_vs_lo=lo_noise,
-                snr_db_vs_lo=lo_snr,
-                min_lo_bits=_first_meeting(
-                    np.asarray(lo_candidates, dtype=float), lo_noise,
-                    lo_snr, threshold),
-                output_candidates=np.asarray(output_candidates, dtype=float),
-                noise_dbm_vs_output=output_noise,
-                snr_db_vs_output=output_snr,
-                min_output_bits=_first_meeting(
-                    np.asarray(output_candidates, dtype=float), output_noise,
-                    output_snr, threshold),
-            )
+                mode=mode, conversion_gain_db=gain, noise_figure_db=nf,
+                analog_floor_dbm=floor, margin_db=float(margin_db), **curves)
         results[label] = BitsFloorResult(
             active=per_mode[MixerMode.ACTIVE],
             passive=per_mode[MixerMode.PASSIVE],
             lo_frequency_hz=float(lo_frequency_hz),
             rf_frequency_hz=float(rf_frequency_hz),
-            if_frequency_hz=base.if_frequency,
-            nco_frequency_hz=base.nco_frequency_hz,
-            output_sample_rate_hz=base.output_sample_rate,
+            if_frequency_hz=plan.if_frequency,
+            nco_frequency_hz=plan.nco_frequency_hz,
+            output_sample_rate_hz=plan.output_sample_rate,
             margin_db=float(margin_db),
         )
     return results

@@ -27,6 +27,9 @@ request shapes:
 * ``POST /v1/spec`` with a ``digital_if`` request vs a direct
   :func:`repro.experiments.run_digital_if` call — the fixed-point digital
   back end (quantized NCO/CIC down-conversion) must serve bit-identically;
+* ``POST /v1/spec`` with a small-grid ``bits_floor`` request vs a direct
+  :func:`repro.experiments.run_bits_floor` call — the three width scans,
+  served as lanes of one digital plan, must serve bit-identically;
 * ``POST /v1/spec`` with a small ``yield_opt`` search vs a direct
   :func:`repro.optimize.run_yield_opt` call — the corner-aware optimiser
   must be servable bit-identically like every other experiment;
@@ -235,6 +238,33 @@ def check_digital_if(base_url: str) -> int:
     print("serve smoke OK: digital-IF quantization sweep over HTTP is "
           "bit-identical to run_digital_if() "
           f"[peak SNR {expected.active.peak_snr_db:.1f} dB active]")
+    return 0
+
+
+#: Candidate widths of the served bits_floor check: 8 lanes in one plan.
+BITS_FLOOR_GRID = {"adc_candidates": [10, 12, 14, 16],
+                   "lo_candidates": [8, 12],
+                   "output_candidates": [16, 20]}
+
+
+def check_bits_floor(base_url: str) -> int:
+    from repro.api import SpecRequest, encode
+    from repro.experiments import run_bits_floor
+
+    request = SpecRequest(experiment="bits_floor", grid=BITS_FLOOR_GRID)
+    served = post_json(base_url + "/v1/spec", request.to_dict())
+    expected = run_bits_floor(**BITS_FLOOR_GRID)
+    if served["result"] != encode(expected):
+        print("FAIL: served bits_floor payload differs from "
+              "run_bits_floor()", file=sys.stderr)
+        return 1
+    if served["result_schema"] != "BitsFloorResult":
+        print(f"FAIL: unexpected result_schema "
+              f"{served['result_schema']!r}", file=sys.stderr)
+        return 1
+    print("serve smoke OK: bits_floor width scan over HTTP is "
+          "bit-identical to run_bits_floor() "
+          f"[min ADC {expected.active.min_adc_bits:.0f} bits active]")
     return 0
 
 
@@ -600,6 +630,7 @@ def main() -> int:
             status = status or check_batch_population(base_url)
             status = status or check_waveform_batch(base_url)
             status = status or check_digital_if(base_url)
+            status = status or check_bits_floor(base_url)
             status = status or check_yield_opt(base_url)
             status = status or check_yield_pareto(base_url)
             status = status or check_jobs_async(base_url)
