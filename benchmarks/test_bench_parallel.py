@@ -19,7 +19,6 @@ and zero-solve assertions always run, pool and all.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -34,17 +33,11 @@ from repro.sweep import (
     SweepRunner,
     sample_design,
 )
+from repro.sweep.parallel import usable_cpus
 
 #: Monte-Carlo design-axis size for the speedup gate (>= 8 per the issue).
 NUM_DESIGNS = 16
 RF_GRID_POINTS = 64
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
 
 
 def _smoke_mode(request) -> bool:
@@ -77,7 +70,7 @@ def test_bench_parallel_speedup(design, request) -> None:
     """The >= 2x wall-clock gate for sharding the design axis."""
     if _smoke_mode(request):
         pytest.skip("timing gate skipped in benchmark smoke mode")
-    cpus = _usable_cpus()
+    cpus = usable_cpus()
     if cpus < 2:
         pytest.skip(f"needs >= 2 usable CPUs to parallelise, have {cpus}")
     workers = min(4, cpus)

@@ -22,7 +22,6 @@ matter which door the request came through.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -42,6 +41,7 @@ from repro.api.request import (
     build_result_response,
 )
 from repro.api.response_cache import DEFAULT_LRU_SIZE, ResponseCache
+from repro.sweep import parallel
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class MixerService:
         response cache; requests cannot name one.
     workers:
         Default ``workers=`` for runners that accept it (a request's own
-        ``workers`` field wins).  Either is capped at ``os.cpu_count()``,
+        ``workers`` field wins).  Either is capped at ``usable_cpus()``,
         the size of the one process pool every sharded run draws from:
         results are bit-identical for any worker count.
     lru_size:
@@ -128,7 +128,7 @@ class MixerService:
             workers = request.workers if request.workers is not None \
                 else self.workers
             if workers is not None:
-                options["workers"] = min(workers, os.cpu_count() or 1)
+                options["workers"] = min(workers, parallel.usable_cpus())
         if spec.accepts_cache and self.spec_cache is not None:
             options["cache"] = self.spec_cache
         return options

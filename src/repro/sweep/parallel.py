@@ -14,8 +14,8 @@ in a process-pool worker, and stitches the shard outputs back together with
 
 One pool: every sharded run in the process — script, test or server
 request, any engine — maps its shards over a single
-``concurrent.futures.ProcessPoolExecutor`` with ``os.cpu_count()`` workers
-(:func:`shared_pool`), built on first use.  A run's ``workers`` only sets
+``concurrent.futures.ProcessPoolExecutor`` with one worker per usable CPU
+(:func:`usable_cpus`, :func:`shared_pool`), built on first use.  A run's ``workers`` only sets
 how many shards it cuts.  The pool lives until :func:`shutdown_pool` (the
 HTTP server calls it on close) or interpreter exit, when
 ``concurrent.futures`` joins it.  If a worker dies, the run that sees it
@@ -61,8 +61,15 @@ _POOL_LOCK = threading.Lock()
 _POOL: ProcessPoolExecutor | None = None
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where there is one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def shared_pool() -> ProcessPoolExecutor:
-    """The process-wide pool, built on first use with ``os.cpu_count()`` workers.
+    """The process-wide pool of :func:`usable_cpus` workers, built on first use.
 
     ``Executor`` instances are thread-safe, so concurrent runs interleave
     their shard maps safely.
@@ -73,7 +80,7 @@ def shared_pool() -> ProcessPoolExecutor:
             # Workers get SIGTERM's default back: a server may route it to
             # KeyboardInterrupt, and a broken pool terminates its workers.
             _POOL = ProcessPoolExecutor(
-                max_workers=os.cpu_count() or 1, initializer=signal.signal,
+                max_workers=usable_cpus(), initializer=signal.signal,
                 initargs=(signal.SIGTERM, signal.SIG_DFL))
         return _POOL
 
@@ -133,7 +140,7 @@ class ShardedRunner:
     design:
         Baseline design record, as for the engine.
     workers:
-        Shard count; ``None`` means ``os.cpu_count()``.  The shards run on
+        Shard count; ``None`` means :func:`usable_cpus`.  The shards run on
         the shared pool (:func:`shared_pool`).  With one worker — or a
         design axis too short to shard — the run stays inline in this
         process, no pool touched.
@@ -152,7 +159,7 @@ class ShardedRunner:
         if workers is not None and workers < 1:
             raise ValueError("workers must be at least 1")
         self.workers = int(workers) if workers is not None \
-            else (os.cpu_count() or 1)
+            else usable_cpus()
         self._options = options
         # The inline runner owns validation, the design-axis labelling rules,
         # cache resolution and the single-process fallback, so both paths

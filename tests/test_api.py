@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import inspect
 import json
-import os
 import sqlite3
 from collections import OrderedDict
 from dataclasses import replace
@@ -26,6 +25,7 @@ import pytest
 
 import repro.experiments
 import repro.sweep.cache as cache_module
+import repro.sweep.parallel as parallel_module
 from repro.api import (
     MixerService,
     RequestValidationError,
@@ -464,7 +464,7 @@ class TestBatchSubmission:
                                                 monkeypatch):
         # Results are bit-identical for any worker count, so a request may
         # not make the server hold more pool processes than it has CPUs.
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 3)
         seen: list = []
         registry = _workers_spy_registry(seen)
         service = MixerService(registry=registry, response_cache=False)
@@ -482,7 +482,7 @@ class TestBatchSubmission:
     def test_batch_groups_on_the_capped_workers(self, monkeypatch):
         # 4 and 8 both cap to 2 CPUs, so the twins share one engine run;
         # None and 1 stay apart (test_identical_members_store_one_entry).
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
         seen: list = []
         service = MixerService(registry=_workers_spy_registry(seen),
                                response_cache=False)

@@ -30,9 +30,10 @@ from repro.core.config import MixerDesign
 from repro.serve import create_server, serve_in_thread
 from repro.sweep import DeviceSpread, ParallelSweepRunner, SweepRunner, \
     sample_design
-from repro.sweep.parallel import shared_pool, shutdown_pool
+from repro.api.registry import ExperimentRegistry, ExperimentSpec
+from repro.sweep.parallel import shared_pool, shutdown_pool, usable_cpus
 
-from api_test_helpers import SMALL_GRIDS
+from api_test_helpers import SMALL_GRIDS, EchoResult
 
 ROOT = Path(__file__).resolve().parent.parent
 #: Seconds a process may take to exit once it has been told to.
@@ -124,8 +125,37 @@ def test_one_pool_serves_every_shard_count():
         pool = pool or shared_pool()
         assert shared_pool() is pool
         started = _pool_pids() - before
-        assert 0 < len(started) <= (os.cpu_count() or 1)
+        assert 0 < len(started) <= usable_cpus()
     assert _pool_pids() - before == started
+
+
+def test_pool_and_served_cap_follow_the_affinity_set(monkeypatch):
+    # One usable CPU of four: the pool and the served workers cap read the
+    # affinity set, not the machine's CPU count.  No task is mapped, so the
+    # rebuilt pool forks no worker.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    seen: list = []
+
+    def run_spy(design, *, workers=None):
+        seen.append(workers)
+        return EchoResult(label="spy", value=1.0)
+
+    registry = ExperimentRegistry()
+    registry.register(ExperimentSpec(
+        name="spy", artefact="test fixture", summary="captures workers",
+        runner=run_spy, result_type=EchoResult, report=lambda result: "",
+        accepts_cache=False))
+    shutdown_pool()
+    try:
+        assert usable_cpus() == 1
+        assert shared_pool()._max_workers == 1
+        MixerService(registry=registry, response_cache=False).submit(
+            SpecRequest(experiment="spy", workers=4))
+        assert seen == [1]
+    finally:
+        shutdown_pool()
 
 
 def test_one_shot_script_leaves_no_workers():
