@@ -197,10 +197,10 @@ def wrap_to_width(values: np.ndarray, width: np.ndarray | int) -> np.ndarray:
     width = np.asarray(width, dtype=np.uint64)
     if np.any((width < 2) | (width > 62)):
         raise ValueError("register widths must lie in [2, 62] bits")
-    unsigned = np.asarray(values).astype(np.uint64)
+    unsigned = np.asarray(values).astype(np.uint64, copy=False)
     half = np.uint64(1) << (width - np.uint64(1))
     mask = (np.uint64(1) << width) - np.uint64(1)
-    return (((unsigned + half) & mask) - half).astype(np.int64)
+    return (((unsigned + half) & mask) - half).view(np.int64)
 
 
 # -- complex mixing -----------------------------------------------------------

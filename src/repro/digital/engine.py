@@ -113,9 +113,11 @@ def evaluate_digital(plan: DigitalIfPlan,
     phases = nco_phases(plan.phase_increment(), total, plan.phase_bits)
     lo_lanes = lo_col[:, 0].tolist()
     tables = sorted(set(lo_lanes))
-    lo_i, lo_q = np.stack([
-        nco_lo_codes(phases, plan.phase_bits, plan.table_bits, bits)
-        for bits in tables], axis=1)[:, [tables.index(b) for b in lo_lanes]]
+    lo = np.stack([nco_lo_codes(phases, plan.phase_bits, plan.table_bits,
+                                bits) for bits in tables], axis=1)
+    if len(tables) > 1:  # one shared table broadcasts over the lanes
+        lo = lo[:, [tables.index(bits) for bits in lo_lanes]]
+    lo_i, lo_q = lo
     i_mix, q_mix, overflow = mix_complex(codes, lo_i, lo_q, bits_col,
                                          lo_col, guard_col)
 

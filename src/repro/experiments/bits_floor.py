@@ -187,13 +187,10 @@ def sweep_bits_floor(designs: Mapping[str, MixerDesign],
             gain = analytic.value("conversion_gain_db", design=label,
                                   mode=mode)
             nf = analytic.value("noise_figure_db", design=label, mode=mode)
-            floor = (-174.0
-                     + 10.0 * math.log10(plan.output_sample_rate)
+            floor = (-174.0 + 10.0 * math.log10(plan.output_sample_rate)
                      + nf + gain)
-            noise = np.split(scan.values("noise_dbm", design=label,
-                                         mode=mode), edges)
-            snr = np.split(scan.values("snr_db", design=label, mode=mode),
-                           edges)
+            noise, snr = (np.split(scan.values(name, design=label, mode=mode),
+                                   edges) for name in ("noise_dbm", "snr_db"))
             curves = {}
             for axis, widths, noise_dbm, snr_db in zip(
                     _SCAN_AXES, scans, noise, snr):
