@@ -107,15 +107,15 @@ def evaluate_digital(plan: DigitalIfPlan,
     codes = quantize_midrise(adc_volts[None, :], bits_col,
                              plan.adc_full_scale)
 
-    # NCO + mixer: one phase sequence, one LO table per distinct lo_bits
-    # gathered onto the lanes that use it.
+    # NCO + mixer: one phase sequence and one LO table per distinct
+    # lo_bits; several tables are gathered onto their lanes, one broadcasts.
     total = adc_volts.shape[-1]
     phases = nco_phases(plan.phase_increment(), total, plan.phase_bits)
     lo_lanes = lo_col[:, 0].tolist()
     tables = sorted(set(lo_lanes))
     lo = np.stack([nco_lo_codes(phases, plan.phase_bits, plan.table_bits,
                                 bits) for bits in tables], axis=1)
-    if len(tables) > 1:  # one shared table broadcasts over the lanes
+    if len(tables) > 1:
         lo = lo[:, [tables.index(bits) for bits in lo_lanes]]
     lo_i, lo_q = lo
     i_mix, q_mix, overflow = mix_complex(codes, lo_i, lo_q, bits_col,
