@@ -15,12 +15,12 @@ in a process-pool worker, and stitches the shard outputs back together with
 One pool: every sharded run in the process — script, test or server
 request, any engine — maps its shards over a single
 ``concurrent.futures.ProcessPoolExecutor`` with one worker per usable CPU
-(:func:`usable_cpus`, :func:`shared_pool`), built on first use.  A run's ``workers`` only sets
-how many shards it cuts.  The pool lives until :func:`shutdown_pool` (the
-HTTP server calls it on close) or interpreter exit, when
-``concurrent.futures`` joins it.  If a worker dies, the run that sees it
-raises ``BrokenProcessPool`` and the pool is dropped, so the next run
-builds a fresh one.  Workers fork once per pool, not once per run, so
+(:func:`usable_cpus`, :func:`shared_pool`), built on first use.  A run's
+``workers`` only sets how many shards it cuts.  The pool lives until
+:func:`shutdown_pool` (the HTTP server calls it on close) or interpreter
+exit, when ``concurrent.futures`` joins it.  If a worker dies, the run that
+sees it raises ``BrokenProcessPool`` and the pool is dropped, so the next
+run builds a fresh one.  Workers fork once per pool, not once per run, so
 module state patched after the pool exists is not seen by them.
 
 Determinism: every cell is computed by exactly the same code path as the
@@ -62,14 +62,14 @@ _POOL: ProcessPoolExecutor | None = None
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where there is one."""
+    """How many CPUs this process may run on (its affinity set, if any)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 def shared_pool() -> ProcessPoolExecutor:
-    """The process-wide pool of :func:`usable_cpus` workers, built on first use.
+    """The process-wide pool of :func:`usable_cpus` workers, built lazily.
 
     ``Executor`` instances are thread-safe, so concurrent runs interleave
     their shard maps safely.
